@@ -14,8 +14,10 @@ Subcommands:
 - ``report``: merge previously written experiment CSVs into combined
   SVG figures.
 
-Every option can also come from an INI config file (section named after
-the subcommand, keys named after the long flags); explicit flags win.
+Every long flag can also come from an INI config file: one section per
+subcommand, keys spelled like the flag with ``-`` or ``_`` in any case,
+repeatable flags as comma lists, and each value checked like the flag's;
+explicit flags win.
 The master seed falls back to the ``OMP_LAB_SEED`` environment variable,
 then to 0.  Exit codes: 0 success, 1 runtime failure, 2 usage error,
 3 threshold not met.
@@ -26,10 +28,10 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import json
+import math
 import os
 import sys
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import bounds as bounds_mod
 from . import output, svgplot
@@ -37,7 +39,6 @@ from ._version import __version__
 from .montecarlo import (
     ExperimentConfig,
     TrialError,
-    phi_for_case,
     run_experiment,
 )
 from .phi import PhiFunction, validate_phi_empirical
@@ -115,9 +116,12 @@ def _parse_formats(text: str) -> Tuple[str, ...]:
 
 def _parse_float(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_case(text: str) -> SignalCase:
@@ -127,13 +131,6 @@ def _parse_case(text: str) -> SignalCase:
             f"unknown case {token!r}; choose from {', '.join(sorted(_CASE_TOKENS))}"
         )
     return _CASE_TOKENS[token]
-
-
-def _comma_list(conv: Callable[[str], object]) -> Callable[[str], List[object]]:
-    def parse(text: str) -> List[object]:
-        return [conv(tok.strip()) for tok in text.split(",") if tok.strip()]
-
-    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,86 +198,64 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Per-subcommand config-file keys and their converters.  A key applies
-# only when the matching flag was not given on the command line.
-_CONFIG_KEYS: Dict[str, Dict[str, Callable[[str], object]]] = {
-    "bound": {
-        "m": _comma_list(_parse_positive_int),
-        "m_sweep": str,
-        "n": _parse_positive_int,
-        "K": _parse_positive_int,
-        "phi": str,
-        "alpha": _parse_float,
-        "formats": _parse_formats,
-        "out_dir": str,
-    },
-    "simulate": {
-        "m": _comma_list(_parse_positive_int),
-        "m_sweep": str,
-        "n": _parse_positive_int,
-        "K": _comma_list(_parse_positive_int),
-        "cases": _comma_list(_parse_case),
-        "trials": _parse_positive_int,
-        "seed": _parse_seed,
-        "threads": _parse_positive_int,
-        "formats": _parse_formats,
-        "out_dir": str,
-    },
-    "validate-phi": {
-        "t_max": _parse_positive_int,
-        "trials": _parse_positive_int,
-        "seed": _parse_seed,
-        "phi": str,
-        "alpha": _parse_float,
-        "threshold": _parse_float,
-        "threads": _parse_positive_int,
-        "formats": _parse_formats,
-        "out_dir": str,
-    },
-    "plot-phi": {
-        "alphas": _comma_list(_parse_float),
-        "t_max": _parse_positive_int,
-        "formats": _parse_formats,
-        "out_dir": str,
-    },
-    "report": {
-        "out_dir": str,
-    },
-}
+def _config_actions(
+    parser: argparse.ArgumentParser, subcommand: str
+) -> Dict[str, argparse.Action]:
+    """The subcommand's options that a config file may set, keyed by the
+    normalized long flag: all of them but ``--config`` and ``--help``."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        _config_key(opt[2:]): action
+        for action in sub.choices[subcommand]._actions
+        for opt in action.option_strings
+        if opt.startswith("--") and opt not in ("--config", "--help")
+    }
 
 
-def _apply_config(ns: argparse.Namespace) -> None:
+def _config_key(name: str) -> str:
+    return name.replace("_", "-").lower()
+
+
+def _config_value(action: argparse.Action, key: str, text: str) -> object:
+    """Convert and check a config value as the flag would; a repeatable
+    flag takes a comma list."""
+    repeatable = isinstance(action, argparse._AppendAction)
+    tokens = [t.strip() for t in text.split(",") if t.strip()] if repeatable else [text]
+    values = []
+    for token in tokens:
+        try:
+            value = action.type(token) if action.type else token
+        except (argparse.ArgumentTypeError, TypeError, ValueError) as err:
+            raise UsageError(f"bad config value for {key!r}: {err}")
+        if action.choices is not None and value not in action.choices:
+            raise UsageError(
+                f"bad config value for {key!r}: invalid choice {value!r} "
+                f"(choose from {', '.join(map(str, action.choices))})"
+            )
+        values.append(value)
+    return values if repeatable else values[0]
+
+
+def _apply_config(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     if ns.config is None:
         return
     if not os.path.isfile(ns.config):
         raise UsageError(f"config file not found: {ns.config}")
     ini = configparser.ConfigParser()
-    ini.optionxform = str  # keep key case, so "K" works as written
+    ini.optionxform = str  # keep key case for error messages
     try:
         ini.read(ns.config)
     except configparser.Error as err:
         raise UsageError(f"cannot parse config file: {err}")
     if ns.subcommand not in ini:
         return
-    section = ini[ns.subcommand]
-    keys = _CONFIG_KEYS[ns.subcommand]
-    for raw_key, raw_value in section.items():
-        key = raw_key.replace("-", "_")
-        if key == "k":
-            key = "K"
-        if key == "case":
-            key = "cases"
-        if key == "alpha" and ns.subcommand == "plot-phi":
-            key = "alphas"
-        if key not in keys:
-            raise UsageError(
-                f"unknown config key {raw_key!r} in section [{ns.subcommand}]"
-            )
-        if getattr(ns, key, None) is None:
-            try:
-                setattr(ns, key, keys[key](raw_value))
-            except (argparse.ArgumentTypeError, ValueError) as err:
-                raise UsageError(f"bad config value for {raw_key!r}: {err}")
+    actions = _config_actions(parser, ns.subcommand)
+    for key, text in ini[ns.subcommand].items():
+        action = actions.get(_config_key(key))
+        if action is None:
+            raise UsageError(f"unknown config key {key!r} in section [{ns.subcommand}]")
+        if getattr(ns, action.dest) is None:
+            setattr(ns, action.dest, _config_value(action, key, text))
 
 
 def _default_seed() -> int:
@@ -327,8 +302,32 @@ def _out_path(ns: argparse.Namespace, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def _formats(ns: argparse.Namespace, default: Tuple[str, ...]) -> Tuple[str, ...]:
-    return ns.formats if ns.formats is not None else default
+def _write_artifacts(
+    ns: argparse.Namespace, default: Tuple[str, ...], artifacts: Iterable[tuple]
+) -> None:
+    """Write each ``(format, file name, render, *args)`` artifact whose
+    format ``--formats`` asks for (else ``default``); the text is
+    ``render(*args)``, so formats not asked for are never rendered."""
+    formats = ns.formats if ns.formats is not None else default
+    for fmt, name, render, *args in artifacts:
+        if fmt in formats:
+            output.atomic_write_text(_out_path(ns, name), render(*args))
+
+
+def _recovery_svg(title: str, rows: Sequence[Tuple[int, float, float, float]]) -> str:
+    """Empirical recovery rate against both bounds, from ``(m, empirical,
+    new bound, existing bound)`` rows in m order."""
+    ms = [r[0] for r in rows]
+    return svgplot.line_plot(
+        [
+            svgplot.Series(label, ms, [r[i] for r in rows])
+            for i, label in enumerate(("empirical", "new bound", "existing bound"), 1)
+        ],
+        title=title,
+        x_label="m",
+        y_label="probability",
+        y_range=(0.0, 1.05),
+    )
 
 
 def _cmd_bound(ns: argparse.Namespace) -> int:
@@ -340,7 +339,6 @@ def _cmd_bound(ns: argparse.Namespace) -> int:
     if not K < n:
         raise UsageError(f"need K < n, got K={K}, n={n}")
     phi = _resolve_phi(ns.phi, ns.alpha)
-    formats = _formats(ns, ("csv",))
 
     rows = []
     for m in m_values:
@@ -355,46 +353,29 @@ def _cmd_bound(ns: argparse.Namespace) -> int:
             f"existing={base.value:.6g} (feasible={base.feasible})"
         )
 
-    if "csv" in formats:
-        output.atomic_write_text(
-            _out_path(ns, "bounds.csv"), output.bound_rows_csv(rows)
-        )
-    if "json" in formats:
-        doc = {
-            "version": __version__,
-            "rows": [
-                {
-                    "m": m,
-                    "n": n_,
-                    "K": k_,
-                    "phi_variant": None if p is None else p.variant,
-                    "phi_param": None if p is None else p.alpha,
-                    "bound_name": name,
-                    "value": res.value,
-                    "epsilon_star": res.epsilon_star,
-                    "interval_upper": res.interval_upper,
-                    "feasible": res.feasible,
-                }
-                for m, n_, k_, p, name, res in rows
-            ],
-        }
-        output.atomic_write_text(
-            _out_path(ns, "bounds.json"), json.dumps(doc, indent=2) + "\n"
-        )
-    if "svg" in formats:
-        new_vals = [r[5].value for r in rows if r[4] == "new"]
-        base_vals = [r[5].value for r in rows if r[4] == "existing"]
-        svg = svgplot.line_plot(
+    def figure() -> str:
+        return svgplot.line_plot(
             [
-                svgplot.Series("new bound", m_values, new_vals),
-                svgplot.Series("existing bound", m_values, base_vals),
+                svgplot.Series(
+                    f"{name} bound", m_values, [r[5].value for r in rows if r[4] == name]
+                )
+                for name in ("new", "existing")
             ],
             title=f"Recovery bounds, K={K}, n={n}, phi={phi.label()}",
             x_label="m",
             y_label="probability lower bound",
             y_range=(0.0, 1.05),
         )
-        output.atomic_write_text(_out_path(ns, "bounds.svg"), svg)
+
+    _write_artifacts(
+        ns,
+        ("csv",),
+        [
+            ("csv", "bounds.csv", output.bound_rows_csv, rows),
+            ("json", "bounds.json", output.bound_rows_json, rows),
+            ("svg", "bounds.svg", figure),
+        ],
+    )
     return EXIT_OK
 
 
@@ -406,7 +387,6 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     trials = ns.trials if ns.trials is not None else 1000
     seed = ns.seed if ns.seed is not None else _default_seed()
     threads = ns.threads if ns.threads is not None else (os.cpu_count() or 1)
-    formats = _formats(ns, ("csv", "json"))
 
     try:
         config = ExperimentConfig(
@@ -430,43 +410,30 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
 
     result = run_experiment(config, workers=threads, progress=progress)
 
-    if "csv" in formats:
-        output.atomic_write_text(
-            _out_path(ns, "results.csv"), output.experiment_csv(result)
+    figures = [
+        (
+            "svg",
+            f"curves_K{K}_{case.label()}.svg",
+            _recovery_svg,
+            f"Exact recovery, K={K}, case={case.label()}, n={n}",
+            [
+                (p.m, p.probability, p.disparity_bound_value, p.baseline_bound_value)
+                for p in result.points
+                if p.K == K and p.case == case
+            ],
         )
-    if "json" in formats:
-        output.atomic_write_text(
-            _out_path(ns, "results.json"), output.experiment_json(result)
-        )
-    if "svg" in formats:
-        for K in config.k_values:
-            for case in config.cases:
-                points = [
-                    p for p in result.points if p.K == K and p.case == case
-                ]
-                svg = svgplot.line_plot(
-                    [
-                        svgplot.Series(
-                            "empirical", [p.m for p in points],
-                            [p.probability for p in points],
-                        ),
-                        svgplot.Series(
-                            "new bound", [p.m for p in points],
-                            [p.disparity_bound_value for p in points],
-                        ),
-                        svgplot.Series(
-                            "existing bound", [p.m for p in points],
-                            [p.baseline_bound_value for p in points],
-                        ),
-                    ],
-                    title=f"Exact recovery, K={K}, case={case.label()}, n={n}",
-                    x_label="m",
-                    y_label="probability",
-                    y_range=(0.0, 1.05),
-                )
-                output.atomic_write_text(
-                    _out_path(ns, f"curves_K{K}_{case.label()}.svg"), svg
-                )
+        for K in config.k_values
+        for case in config.cases
+    ]
+    _write_artifacts(
+        ns,
+        ("csv", "json"),
+        [
+            ("csv", "results.csv", output.experiment_csv, result),
+            ("json", "results.json", output.experiment_json, result),
+            *figures,
+        ],
+    )
     return EXIT_OK
 
 
@@ -476,41 +443,14 @@ def _cmd_validate_phi(ns: argparse.Namespace) -> int:
     seed = ns.seed if ns.seed is not None else _default_seed()
     threshold = ns.threshold if ns.threshold is not None else 0.995
     phi = _resolve_phi(ns.phi if ns.phi is not None else "gauss", ns.alpha)
-    formats = _formats(ns, ("csv",))
     # --threads is accepted for interface uniformity; the per-size loops
     # are vectorized and finish in seconds, so no pool is spun up, and
     # per-size substreams make the counts worker-independent anyway.
 
     report = validate_phi_empirical(phi, t_max, trials, StreamKey(seed))
 
-    if "csv" in formats:
-        output.atomic_write_text(
-            _out_path(ns, "phi_validation.csv"), output.phi_validation_csv(report)
-        )
-    if "json" in formats:
-        doc = {
-            "version": __version__,
-            "phi": phi.label(),
-            "t_max": t_max,
-            "trials": trials,
-            "seed": seed,
-            "threshold": threshold,
-            "min_probability": report.min_probability,
-            "rows": [
-                {
-                    "t": int(t),
-                    "trials": trials,
-                    "successes": int(s),
-                    "empirical_probability": s / trials,
-                }
-                for t, s in zip(report.sizes, report.successes)
-            ],
-        }
-        output.atomic_write_text(
-            _out_path(ns, "phi_validation.json"), json.dumps(doc, indent=2) + "\n"
-        )
-    if "svg" in formats:
-        svg = svgplot.line_plot(
+    def figure() -> str:
+        return svgplot.line_plot(
             [
                 svgplot.Series(
                     f"phi={phi.label()}", report.sizes.tolist(),
@@ -522,7 +462,17 @@ def _cmd_validate_phi(ns: argparse.Namespace) -> int:
             y_label="empirical probability",
             y_range=(0.9, 1.005),
         )
-        output.atomic_write_text(_out_path(ns, "phi_validation.svg"), svg)
+
+    _write_artifacts(
+        ns,
+        ("csv",),
+        [
+            ("csv", "phi_validation.csv", output.phi_validation_csv, report),
+            ("json", "phi_validation.json", output.phi_validation_json,
+             report, t_max, seed, threshold),
+            ("svg", "phi_validation.svg", figure),
+        ],
+    )
 
     print(
         f"min probability {report.min_probability:.6f} at t={report.worst_size()} "
@@ -536,7 +486,6 @@ def _cmd_validate_phi(ns: argparse.Namespace) -> int:
 def _cmd_plot_phi(ns: argparse.Namespace) -> int:
     alphas = ns.alphas if ns.alphas is not None else [1.0, 1.5, 2.0, 2.5]
     t_max = ns.t_max if ns.t_max is not None else 50
-    formats = _formats(ns, ("csv", "svg"))
 
     t_values = list(range(1, t_max + 1))
     curves = []
@@ -552,29 +501,23 @@ def _cmd_plot_phi(ns: argparse.Namespace) -> int:
             raise UsageError(f"decay ratio must be 1 or greater than 1, got {a:g}")
         curves.append((f"alpha={a:g}", t_values, values))
 
-    if "csv" in formats:
-        output.atomic_write_text(
-            _out_path(ns, "phi_curves.csv"), output.phi_curves_csv(curves)
-        )
-    if "json" in formats:
-        doc = {
-            "version": __version__,
-            "curves": [
-                {"label": label, "t": list(ts), "phi": list(vals)}
-                for label, ts, vals in curves
-            ],
-        }
-        output.atomic_write_text(
-            _out_path(ns, "phi_curves.json"), json.dumps(doc, indent=2) + "\n"
-        )
-    if "svg" in formats:
-        svg = svgplot.line_plot(
+    def figure() -> str:
+        return svgplot.line_plot(
             [svgplot.Series(label, ts, vals) for label, ts, vals in curves],
             title="Disparity budget versus subset size",
             x_label="t",
             y_label="phi(t)",
         )
-        output.atomic_write_text(_out_path(ns, "phi_curves.svg"), svg)
+
+    _write_artifacts(
+        ns,
+        ("csv", "svg"),
+        [
+            ("csv", "phi_curves.csv", output.phi_curves_csv, curves),
+            ("json", "phi_curves.json", output.phi_curves_json, curves),
+            ("svg", "phi_curves.svg", figure),
+        ],
+    )
     return EXIT_OK
 
 
@@ -609,22 +552,10 @@ def _cmd_report(ns: argparse.Namespace) -> int:
 
     for (K, case_label), rows in sorted(groups.items()):
         rows.sort(key=lambda r: r[0])
-        ms = [r[0] for r in rows]
-        svg = svgplot.line_plot(
-            [
-                svgplot.Series("empirical", ms, [r[1] for r in rows]),
-                svgplot.Series("new bound", ms, [r[2] for r in rows]),
-                svgplot.Series("existing bound", ms, [r[3] for r in rows]),
-            ],
-            title=f"Exact recovery, K={K}, case={case_label}",
-            x_label="m",
-            y_label="probability",
-            y_range=(0.0, 1.05),
-        )
-        output.atomic_write_text(
-            _out_path(ns, f"combined_K{K}_{case_label}.svg"), svg
-        )
-        print(f"wrote combined_K{K}_{case_label}.svg ({len(rows)} points)")
+        name = f"combined_K{K}_{case_label}.svg"
+        svg = _recovery_svg(f"Exact recovery, K={K}, case={case_label}", rows)
+        output.atomic_write_text(_out_path(ns, name), svg)
+        print(f"wrote {name} ({len(rows)} points)")
     return EXIT_OK
 
 
@@ -646,7 +577,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # surface either as a return value so callers can test us.
         return int(exc.code or 0)
     try:
-        _apply_config(ns)
+        _apply_config(ns, parser)
         return _DISPATCH[ns.subcommand](ns)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)

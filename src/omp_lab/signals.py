@@ -29,7 +29,6 @@ __all__ = [
     "SignalCase",
     "SparseSignal",
     "SensingMatrix",
-    "sample_std_normal",
     "sample_sensing_matrix",
     "sample_support",
     "generate_signal",
@@ -80,9 +79,6 @@ class StreamKey:
             if not 0 <= word < _MAX_KEY_WORD:
                 raise ValueError(f"{name} must be in [0, 2**64), got {word}")
         object.__setattr__(self, "purpose", Purpose(self.purpose))
-
-    def with_trial(self, trial_index: int) -> "StreamKey":
-        return replace(self, trial_index=trial_index)
 
     def with_purpose(self, purpose: Purpose) -> "StreamKey":
         return replace(self, purpose=purpose)
@@ -206,26 +202,6 @@ class SensingMatrix:
             raise ValueError("entries must all be finite")
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
-    def column(self, j: int) -> np.ndarray:
-        return self.entries[:, j]
-
-
-def sample_std_normal(stream: np.random.Generator) -> float:
-    """One standard-normal variate from an initialized stream.
-
-    PCG64 generators transform the uniform stream through the ziggurat
-    method; replaying the same stream replays the same sequence.
-    """
-    return float(stream.standard_normal())
 
 
 def sample_sensing_matrix(m: int, n: int, key: StreamKey) -> SensingMatrix:

@@ -81,6 +81,7 @@ def _read_results_csv(path):
         return list(csv.DictReader(handle))
 
 
+@pytest.mark.slow
 def test_criterion_01_empirical_budget_coverage(tmp_path):
     code = main(
         ["validate-phi", "--t-max", "50", "--trials", "50000",
@@ -168,6 +169,7 @@ def test_criterion_04_bound_grows_with_decay_rate():
     )
 
 
+@pytest.mark.slow
 def test_criterion_05_empirical_probability_meets_bound():
     shortfalls = []
     checked = 0
@@ -198,6 +200,7 @@ def test_criterion_05_empirical_probability_meets_bound():
     _verdict(5, ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_06_curve_shapes_at_reduced_scale(tmp_path):
     code = main(
         ["simulate", "--m-sweep", "100:50:1000", "--n", "1024",
@@ -338,6 +341,7 @@ def test_criterion_08_solver_invariants_on_random_instances():
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_maximizer_matches_dense_reference():
     rng = np.random.default_rng(93)
     budgets = (

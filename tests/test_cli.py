@@ -1,17 +1,22 @@
 """CLI behavior: flags, config files, exit codes, artifacts."""
 
+import csv
 import json
 import os
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from omp_lab import cli
 from omp_lab.cli import (
     EXIT_OK,
     EXIT_THRESHOLD,
     EXIT_USAGE,
     main,
 )
+from omp_lab.signals import SignalCase
+
+_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 _SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -327,3 +332,131 @@ class TestTopLevel:
 
     def test_bad_flag_value(self):
         assert main(["bound", "--m", "zero", "--K", "3"]) == EXIT_USAGE
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_alpha_flag(self, value):
+        args = ["bound", "--m", "500", "--K", "15", "--phi", "decay", "--alpha", value]
+        assert main(args) == EXIT_USAGE
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_threshold_flag(self, value):
+        args = ["validate-phi", "--t-max", "2", "--trials", "10", "--threshold", value]
+        assert main(args) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "section, line, args",
+        [
+            ("bound", "alpha = inf", ["--m", "500", "--K", "15", "--phi", "decay"]),
+            ("validate-phi", "threshold = nan", ["--t-max", "2", "--trials", "10"]),
+            ("plot-phi", "alpha = 2, inf", []),
+        ],
+    )
+    def test_config_value(self, tmp_path, section, line, args):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[{section}]\n{line}\n")
+        code = main([section, "--config", str(ini), "--out-dir", str(tmp_path), *args])
+        assert code == EXIT_USAGE
+
+
+class TestConfigKeysFromFlags:
+    def _run(self, tmp_path, subcommand, text, *args):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(text)
+        return main(
+            [subcommand, "--config", str(ini), "--out-dir", str(tmp_path / "out"), *args]
+        )
+
+    def _namespace(self, monkeypatch, argv):
+        seen = []
+        monkeypatch.setitem(cli._DISPATCH, argv[0], lambda ns: seen.append(ns) or EXIT_OK)
+        assert main(argv) == EXIT_OK
+        return {k: v for k, v in vars(seen[0]).items() if k != "config"}
+
+    def test_choices_checked(self, tmp_path, capsys):
+        code = self._run(tmp_path, "bound", "[bound]\nm = 500\nK = 15\nphi = gaus\n")
+        assert code == EXIT_USAGE
+        assert "phi" in capsys.readouterr().err
+
+    def test_lower_case_k_with_sweep(self, tmp_path):
+        text = (
+            "[simulate]\nm_sweep = 24:16:40\nn = 64\nk = 3\ncase = flat\n"
+            "trials = 4\nthreads = 1\n"
+        )
+        assert self._run(tmp_path, "simulate", text) == EXIT_OK
+        lines = _read(tmp_path / "out" / "results.csv").strip().split("\n")
+        assert [line.split(",")[:3] for line in lines[1:]] == [
+            ["24", "64", "3"], ["40", "64", "3"]
+        ]
+
+    def test_repeatable_flag_takes_comma_list(self, tmp_path):
+        text = "[plot-phi]\nalpha = 1.5, 2\nt-max = 3\n"
+        assert self._run(tmp_path, "plot-phi", text) == EXIT_OK
+        rows = _read(tmp_path / "out" / "phi_curves.csv").strip().split("\n")[1:]
+        assert sorted({row.split(",")[0] for row in rows}) == ["alpha=1.5", "alpha=2"]
+
+    def test_config_key_itself_unknown(self, tmp_path, capsys):
+        assert self._run(tmp_path, "simulate", "[simulate]\nconfig = x\n") == EXIT_USAGE
+        assert "unknown config key" in capsys.readouterr().err
+
+    def test_shipped_configs(self, monkeypatch):
+        quick = os.path.join(_CONFIGS, "quick.ini")
+        reference = os.path.join(_CONFIGS, "reference.ini")
+        unset = dict(out_dir=None, m=None, threads=None)
+        assert self._namespace(monkeypatch, ["simulate", "--config", quick]) == dict(
+            unset, subcommand="simulate", m_sweep="40:20:120", n=256, K=[5],
+            cases=[SignalCase.flat(), SignalCase.decaying(1.2)], trials=50, seed=0,
+            formats=("csv", "svg"),
+        )
+        assert self._namespace(monkeypatch, ["validate-phi", "--config", quick]) == dict(
+            subcommand="validate-phi", out_dir=None, t_max=32, trials=5000, seed=None,
+            phi=None, alpha=None, threshold=None, threads=None, formats=None,
+        )
+        assert self._namespace(monkeypatch, ["simulate", "--config", reference]) == dict(
+            unset, subcommand="simulate", m_sweep="100:50:1000", n=1024, K=[15, 30],
+            cases=[SignalCase.flat(), SignalCase.decaying(1.1),
+                   SignalCase.decaying(1.2), SignalCase.gaussian(1.0)],
+            trials=1000, seed=0, formats=("csv", "json", "svg"),
+        )
+        assert self._namespace(monkeypatch, ["bound", "--config", reference]) == dict(
+            subcommand="bound", out_dir=None, m=None, m_sweep="100:50:1000", n=1024,
+            K=15, phi="cs", alpha=None, formats=("csv", "svg"),
+        )
+
+
+def _csv_cell(value):
+    """How a JSON row value is written in the matching CSV cell."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return "%.17g" % value
+    return str(value)
+
+
+class TestCsvJsonAgreement:
+    @pytest.mark.parametrize(
+        "stem, rows_key, args",
+        [
+            ("bounds", "rows",
+             ["bound", "--m", "16", "--m", "300", "--n", "64", "--K", "15",
+              "--phi", "decay", "--alpha", "1.2"]),
+            ("results", "points",
+             ["simulate", "--m", "24", "--m", "40", "--n", "64", "--K", "3",
+              "--case", "flat", "--case", "gauss", "--trials", "4", "--threads", "1"]),
+            ("phi_validation", "rows",
+             ["validate-phi", "--t-max", "4", "--trials", "50"]),
+        ],
+    )
+    def test_same_table(self, tmp_path, stem, rows_key, args):
+        code = main(args + ["--formats", "csv,json", "--out-dir", str(tmp_path)])
+        assert code == EXIT_OK
+        with open(tmp_path / f"{stem}.csv", newline="", encoding="utf-8") as handle:
+            header, *cells = list(csv.reader(handle))
+        records = json.loads(_read(tmp_path / f"{stem}.json"))[rows_key]
+        assert len(records) == len(cells) > 0
+        for record, row in zip(records, cells):
+            assert list(record) == header
+            assert [_csv_cell(v) for v in record.values()] == row

@@ -28,9 +28,9 @@ from omp_lab.signals import (
 def _random_instance(seed, m, n, K, case=None):
     key = StreamKey(seed)
     mat = sample_sensing_matrix(m, n, key)
-    support = sample_support(n, K, key.with_trial(1))
+    support = sample_support(n, K, StreamKey(seed, 1))
     case = case or SignalCase.gaussian(1.0)
-    signal = generate_signal(n, support, case, key.with_trial(2))
+    signal = generate_signal(n, support, case, StreamKey(seed, 2))
     return mat, signal, mat.entries @ signal.values
 
 
