@@ -29,7 +29,9 @@ All arithmetic runs in the log domain: with n - K in the thousands the
 per-term factors sit extremely close to 1, and ``log(1 - e^-a)`` is
 computed by the standard two-branch rule so neither tiny nor huge ``a``
 loses precision.  The maximization evaluates a 1024-point grid over the
-feasible interval and polishes the best point by golden-section search.
+feasible interval, then polishes the best grid point with scipy's
+bounded scalar minimizer between its two grid neighbours, to 1e-9 in
+eps; the polished point replaces the grid point only if it is higher.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .phi import PhiFunction
 
@@ -57,7 +60,6 @@ __all__ = [
 ]
 
 _GRID_POINTS = 1024
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS_TOL = 1e-9
 
 _LN2 = math.log(2.0)
@@ -149,23 +151,20 @@ def log_disparity_bound_at(
     if np.any(ok):
         e = eps_arr[ok]
         h = eta[ok]
-        log_eta = np.log(h)
-        half_m_eta_sq = 0.5 * m * h * h
-        sum_terms = np.zeros(e.shape)
-        for k in range(1, K + 1):
-            phik = phi(k)
-            logx = (
-                -half_m_eta_sq / phik
-                - 0.5 * math.log(math.pi * m / (2.0 * phik))
-                - log_eta
-            )
-            below_one = logx < 0.0
-            term = np.where(
-                below_one,
-                log1mexp(np.where(below_one, -logx, 1.0)),
-                -np.inf,
-            )
-            sum_terms = sum_terms + term
+        # Rows are k = 1..K, columns the feasible eps.  The per-k constant
+        # goes through math.log and the sum over k runs in k order from
+        # 0.0 (so all -0.0 terms sum to +0.0), which gives every value
+        # the same double as a term-by-term loop.
+        phik = phi.values(K)
+        log_norm = np.array([0.5 * math.log(math.pi * m / (2.0 * p)) for p in phik])
+        logx = -(0.5 * m * h * h) / phik[:, None] - log_norm[:, None] - np.log(h)
+        below_one = logx < 0.0
+        terms = np.where(
+            below_one,
+            log1mexp(np.where(below_one, -logx, 1.0)),
+            -np.inf,
+        )
+        sum_terms = 0.0 + np.add.accumulate(terms, axis=0)[-1]
         out[ok] = log1mexp(0.5 * m * e * e) + (n - K) * sum_terms
     return float(out[0]) if scalar else out
 
@@ -212,56 +211,18 @@ def _clamp_exp(log_value: float) -> float:
     return min(1.0, math.exp(min(log_value, 0.0)))
 
 
-def _maximize_log(
-    log_f: Callable[[np.ndarray], np.ndarray],
+def _maximize(
     upper: float,
+    log_f: Callable[[Union[float, np.ndarray]], Union[float, np.ndarray]],
     closed_upper: bool,
-) -> tuple[float, float]:
-    """Grid scan plus golden-section polish of a log objective on (0, upper].
-
-    ``closed_upper`` keeps the endpoint itself on the grid; otherwise the
-    grid stays strictly interior.  Returns ``(eps_star, log_value)``.
+) -> BoundResult:
+    """Maximize a log objective over ``(0, upper]`` (``(0, upper)`` unless
+    ``closed_upper``): a grid scan, then a bounded scipy polish between
+    the grid neighbours of the best point, kept only if it beats that
+    point.  A nonpositive ``upper`` yields the infeasible result, with
+    ``value = 0``, rather than an error, so sweeps can record every
+    point.
     """
-    if closed_upper:
-        grid = upper * np.arange(1, _GRID_POINTS + 1) / _GRID_POINTS
-    else:
-        grid = upper * np.arange(1, _GRID_POINTS + 1) / (_GRID_POINTS + 1)
-    values = log_f(grid)
-    i = int(np.argmax(values))
-    best_eps = float(grid[i])
-    best_val = float(values[i])
-
-    a = float(grid[i - 1]) if i > 0 else 0.0
-    b = float(grid[i + 1]) if i + 1 < grid.size else (upper if closed_upper else upper)
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc = float(log_f(np.array([c]))[0])
-    fd = float(log_f(np.array([d]))[0])
-    while b - a > _EPS_TOL:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = float(log_f(np.array([c]))[0])
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = float(log_f(np.array([d]))[0])
-    mid = 0.5 * (a + b)
-    fmid = float(log_f(np.array([mid]))[0])
-    if fmid > best_val:
-        best_eps, best_val = mid, fmid
-    return best_eps, best_val
-
-
-def disparity_bound(m: int, n: int, K: int, phi: PhiFunction) -> BoundResult:
-    """Maximize the disparity-aware bound over its feasible interval.
-
-    Infeasible geometry (nonpositive interval endpoint) yields a result
-    with ``value = 0`` and ``feasible = False`` rather than an error, so
-    sweeps over parameter grids can record every point.
-    """
-    _check_problem(m, n, K)
-    upper = disparity_interval_upper(m, K, phi)
     if not upper > 0.0:
         return BoundResult(
             value=0.0,
@@ -270,37 +231,47 @@ def disparity_bound(m: int, n: int, K: int, phi: PhiFunction) -> BoundResult:
             interval_upper=upper,
             feasible=False,
         )
-    eps_star, log_val = _maximize_log(
-        lambda e: log_disparity_bound_at(m, n, K, phi, e), upper, closed_upper=True
+    steps = _GRID_POINTS if closed_upper else _GRID_POINTS + 1
+    grid = upper * np.arange(1, _GRID_POINTS + 1) / steps
+    values = log_f(grid)
+    i = int(np.argmax(values))
+    best_eps, best_val = float(grid[i]), float(values[i])
+    polish = minimize_scalar(
+        lambda e: -log_f(e),
+        bounds=(
+            float(grid[i - 1]) if i > 0 else 0.0,
+            float(grid[i + 1]) if i + 1 < grid.size else upper,
+        ),
+        method="bounded",
+        options={"xatol": _EPS_TOL},
     )
+    if -polish.fun > best_val:
+        best_eps, best_val = float(polish.x), float(-polish.fun)
     return BoundResult(
-        value=_clamp_exp(log_val),
-        log_value=log_val,
-        epsilon_star=eps_star,
+        value=_clamp_exp(best_val),
+        log_value=best_val,
+        epsilon_star=best_eps,
         interval_upper=upper,
         feasible=True,
+    )
+
+
+def disparity_bound(m: int, n: int, K: int, phi: PhiFunction) -> BoundResult:
+    """Maximize the disparity-aware bound over its feasible interval,
+    which includes its upper endpoint."""
+    _check_problem(m, n, K)
+    return _maximize(
+        disparity_interval_upper(m, K, phi),
+        lambda e: log_disparity_bound_at(m, n, K, phi, e),
+        closed_upper=True,
     )
 
 
 def baseline_bound(m: int, n: int, K: int) -> BoundResult:
     """Maximize the baseline bound over its open feasible interval."""
     _check_problem(m, n, K)
-    upper = baseline_interval_upper(m, K)
-    if not upper > 0.0:
-        return BoundResult(
-            value=0.0,
-            log_value=-np.inf,
-            epsilon_star=None,
-            interval_upper=upper,
-            feasible=False,
-        )
-    eps_star, log_val = _maximize_log(
-        lambda e: log_baseline_bound_at(m, n, K, e), upper, closed_upper=False
-    )
-    return BoundResult(
-        value=_clamp_exp(log_val),
-        log_value=log_val,
-        epsilon_star=eps_star,
-        interval_upper=upper,
-        feasible=True,
+    return _maximize(
+        baseline_interval_upper(m, K),
+        lambda e: log_baseline_bound_at(m, n, K, e),
+        closed_upper=False,
     )

@@ -124,6 +124,13 @@ def _parse_float(text: str) -> float:
     return value
 
 
+def _parse_probability(text: str) -> float:
+    value = _parse_float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a value in [0, 1], got {text!r}")
+    return value
+
+
 def _parse_case(text: str) -> SignalCase:
     token = text.strip()
     if token not in _CASE_TOKENS:
@@ -181,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_phi.add_argument("--seed", type=_parse_seed)
     p_phi.add_argument("--phi", choices=("cs", "decay", "gauss"))
     p_phi.add_argument("--alpha", type=_parse_float)
-    p_phi.add_argument("--threshold", type=_parse_float)
+    p_phi.add_argument("--threshold", type=_parse_probability)
     p_phi.add_argument("--threads", type=_parse_positive_int)
     p_phi.add_argument("--formats", type=_parse_formats)
 

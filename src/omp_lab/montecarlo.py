@@ -66,6 +66,12 @@ class TrialError(RuntimeError):
         self.K = K
         self.case = case
         self.trial_index = trial_index
+        self.cause = cause
+
+    def __reduce__(self):
+        # Rebuild from the fields: ``args`` holds only the message, and
+        # the error must survive the trip back from a pool worker.
+        return type(self), (self.m, self.K, self.case, self.trial_index, self.cause)
 
 
 @dataclass(frozen=True)
@@ -308,49 +314,48 @@ def run_experiment(
 ) -> ExperimentResult:
     """Sweep the config's grid and tally recoveries at every point.
 
-    ``workers > 1`` fans trials out over a process pool; per-trial keyed
-    streams make the result identical for every worker count.
-    ``progress``, if given, is called after each grid point with
-    ``(points_done, points_total, result)``.
+    The whole grid is one task queue: each point's trials are split into
+    ``workers`` contiguous chunks, and the chunks of all points are
+    mapped in grid order, in this process when ``workers == 1`` and over
+    a process pool otherwise.  Tallies are reduced in the same order, so
+    the parent attaches each point's bounds and calls ``progress`` with
+    ``(points_done, points_total, result)`` as soon as that point's
+    chunks are in, while the pool works on later points.  Per-trial
+    keyed streams make the result identical for every worker count.  A
+    failing trial raises its ``TrialError`` here and cancels the tasks
+    not yet started.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    total = config.point_count
+    grid = list(config.grid_points())
+    chunks = list(_chunk_ranges(config.trials, workers))
+    tasks = [
+        (m, config.n, K, case, config.master_seed,
+         g * config.trials + start, count, config.recovery_tolerance)
+        for g, (case, K, m) in enumerate(grid)
+        for start, count in chunks
+    ]
     points = []
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        for g, (case, K, m) in enumerate(config.grid_points()):
-            first = g * config.trials
-            if pool is None:
-                successes = _count_successes(
-                    m, config.n, K, case, config.master_seed,
-                    first, config.trials, config.recovery_tolerance,
-                )
-            else:
-                futures = [
-                    pool.submit(
-                        _count_successes,
-                        m, config.n, K, case, config.master_seed,
-                        first + start, count, config.recovery_tolerance,
-                    )
-                    for start, count in _chunk_ranges(config.trials, workers)
-                ]
-                successes = sum(f.result() for f in futures)
-            phi = phi_for_case(case)
+        tallies = (map if pool is None else pool.map)(_count_successes, *zip(*tasks))
+        for case, K, m in grid:
             point = PointResult(
                 m=m,
                 n=config.n,
                 K=K,
                 case=case,
                 trials=config.trials,
-                successes=successes,
-                disparity_bound_value=bounds.disparity_bound(m, config.n, K, phi).value,
+                successes=sum(next(tallies) for _ in chunks),
+                disparity_bound_value=bounds.disparity_bound(
+                    m, config.n, K, phi_for_case(case)
+                ).value,
                 baseline_bound_value=bounds.baseline_bound(m, config.n, K).value,
             )
             points.append(point)
             if progress is not None:
-                progress(g + 1, total, point)
+                progress(len(points), len(grid), point)
     finally:
         if pool is not None:
-            pool.shutdown()
+            pool.shutdown(cancel_futures=True)
     return ExperimentResult(config=config, points=tuple(points))

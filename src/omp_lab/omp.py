@@ -60,6 +60,9 @@ class DegenerateColumnError(RuntimeError):
         self.iteration = iteration
         self.index = index
 
+    def __reduce__(self):
+        return type(self), (self.iteration, self.index)
+
 
 class InstanceTooLargeError(ValueError):
     """Exhaustive search would enumerate too many supports."""

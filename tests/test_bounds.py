@@ -161,6 +161,51 @@ class TestPointEvaluations:
             log_disparity_bound_at(10, 10, 10, CS, 0.1)
 
 
+def _per_k_loop_oracle(m, n, K, phi, eps):
+    """The term-by-term loop over k that the K x eps broadcast replaced."""
+    out = np.full(eps.shape, -np.inf)
+    eta = 1.0 - math.sqrt(K / m) - eps
+    ok = (eps > 0.0) & (eta > 0.0)
+    e = eps[ok]
+    h = eta[ok]
+    log_eta = np.log(h)
+    half_m_eta_sq = 0.5 * m * h * h
+    sum_terms = np.zeros(e.shape)
+    for k in range(1, K + 1):
+        phik = phi(k)
+        logx = (
+            -half_m_eta_sq / phik
+            - 0.5 * math.log(math.pi * m / (2.0 * phik))
+            - log_eta
+        )
+        below_one = logx < 0.0
+        term = np.where(
+            below_one, log1mexp(np.where(below_one, -logx, 1.0)), -np.inf
+        )
+        sum_terms = sum_terms + term
+    out[ok] = log1mexp(0.5 * m * e * e) + (n - K) * sum_terms
+    return out
+
+
+class TestBroadcastMatchesLoop:
+    """The K x eps broadcast gives the loop's doubles bit for bit."""
+
+    @pytest.mark.parametrize("phi", [CS, D12, GAUSS], ids=lambda p: p.label())
+    @pytest.mark.parametrize("K", [1, 15, 30])
+    @pytest.mark.parametrize("m", [120, 500, 1000, 10**6])
+    @pytest.mark.parametrize("size", [1, 1024])
+    def test_bit_identical(self, phi, K, m, size):
+        # eps spans the whole (0, 1 - sqrt(K/m)), past the feasible end,
+        # so factors with x_k >= 1 (-inf terms) are covered too; at
+        # m = 1e6 every term underflows to -0.0 and the sum must be +0.0
+        width = 1.0 - math.sqrt(K / m)
+        eps = width * (np.arange(1, size + 1) - 0.5) / size
+        got = log_disparity_bound_at(m, 1024, K, phi, eps)
+        want = _per_k_loop_oracle(m, 1024, K, phi, eps)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 class TestProductTermsBelowOne:
     @given(
         st.integers(2, 30),

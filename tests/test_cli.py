@@ -7,13 +7,15 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from omp_lab import cli
+from omp_lab import cli, montecarlo
 from omp_lab.cli import (
     EXIT_OK,
+    EXIT_RUNTIME,
     EXIT_THRESHOLD,
     EXIT_USAGE,
     main,
 )
+from omp_lab.omp import DegenerateColumnError
 from omp_lab.signals import SignalCase
 
 _CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -132,6 +134,17 @@ class TestSimulateCommand:
         )
         for name in ("curves_K3_flat.svg", "curves_K3_gauss1.svg"):
             assert _polyline_count(tmp_path / name) == 3
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_trial_failure_exits_1(self, tmp_path, monkeypatch, capsys, threads):
+        def explode(*args, **kwargs):
+            raise DegenerateColumnError(iteration=1, index=0)
+
+        monkeypatch.setattr(montecarlo, "run_trial", explode)
+        args = _sim_args(tmp_path)
+        args[args.index("--threads") + 1] = threads
+        assert main(args) == EXIT_RUNTIME
+        assert "trial failure: trial 0 failed at m=24, K=3" in capsys.readouterr().err
 
     def test_needs_m(self):
         assert main(["simulate", "--K", "3", "--trials", "2"]) == EXIT_USAGE
@@ -340,7 +353,9 @@ class TestNonFiniteNumbers:
         args = ["bound", "--m", "500", "--K", "15", "--phi", "decay", "--alpha", value]
         assert main(args) == EXIT_USAGE
 
-    @pytest.mark.parametrize("value", ["inf", "nan"])
+    # a threshold is a probability: finite values outside [0, 1] are
+    # usage errors too
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1", "-0.001", "1.001", "1.5"])
     def test_threshold_flag(self, value):
         args = ["validate-phi", "--t-max", "2", "--trials", "10", "--threshold", value]
         assert main(args) == EXIT_USAGE
@@ -351,6 +366,8 @@ class TestNonFiniteNumbers:
             ("bound", "alpha = inf", ["--m", "500", "--K", "15", "--phi", "decay"]),
             ("validate-phi", "threshold = nan", ["--t-max", "2", "--trials", "10"]),
             ("plot-phi", "alpha = 2, inf", []),
+            ("validate-phi", "threshold = -1", ["--t-max", "2", "--trials", "10"]),
+            ("validate-phi", "threshold = 1.5", ["--t-max", "2", "--trials", "10"]),
         ],
     )
     def test_config_value(self, tmp_path, section, line, args):

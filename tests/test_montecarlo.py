@@ -208,9 +208,10 @@ class TestRunExperiment:
             assert p.n == config.n and p.trials == config.trials
             assert 0 <= p.successes <= p.trials
 
-    def test_attached_bounds_match_direct_evaluation(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_attached_bounds_match_direct_evaluation(self, workers):
         config = _small_config(trials=3)
-        result = run_experiment(config)
+        result = run_experiment(config, workers=workers)
         for p in result.points:
             phi = phi_for_case(p.case)
             assert p.disparity_bound_value == (
@@ -220,11 +221,18 @@ class TestRunExperiment:
                 bounds_mod.baseline_bound(p.m, p.n, p.K).value
             )
 
-    def test_progress_callback(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_progress_callback(self, workers):
         config = _small_config(trials=2)
         seen = []
-        run_experiment(config, progress=lambda done, total, p: seen.append((done, total)))
-        assert seen == [(i + 1, 4) for i in range(4)]
+        run_experiment(
+            config,
+            workers=workers,
+            progress=lambda done, total, p: seen.append((done, total, p.case, p.K, p.m)),
+        )
+        assert seen == [
+            (i + 1, 4, *point) for i, point in enumerate(config.grid_points())
+        ]
 
     def test_point_lookup(self):
         config = _small_config(trials=2)
@@ -253,3 +261,17 @@ class TestTrialError:
         assert (err.m, err.K, err.trial_index) == (10, 2, 5)
         assert err.case == SignalCase.flat()
         assert "trial 5" in str(err)
+
+    def test_crosses_the_process_pool(self, monkeypatch):
+        # workers inherit the patched module; the parent must get the
+        # TrialError of the first chunk, with its location intact
+        def explode(*args, **kwargs):
+            raise DegenerateColumnError(iteration=1, index=0)
+
+        monkeypatch.setattr(montecarlo, "run_trial", explode)
+        with pytest.raises(TrialError) as info:
+            run_experiment(_small_config(), workers=2)
+        err = info.value
+        assert (err.m, err.K, err.case, err.trial_index) == (24, 3, SignalCase.flat(), 0)
+        assert isinstance(err.cause, DegenerateColumnError)
+        assert (err.cause.iteration, err.cause.index) == (1, 0)
