@@ -1,10 +1,56 @@
 """Monte Carlo engine for exact-recovery experiments.
 
-One trial: draw a fresh sensing matrix and a fresh random support, place
-case-defined values on it, measure ``y = A x`` exactly, run the pursuit
-for K iterations, and score exact recovery.  An experiment sweeps a grid
-of (case, K, m) points, tallies successes per point, and attaches the
-two probability bounds for comparison.
+An experiment sweeps a grid of (case, K, m) points, tallies exact
+recoveries per point, and attaches the two probability bounds for
+comparison.  A trial asks: do K iterations of OMP on ``y = A x``, with
+``A`` m-by-n i.i.d. N(0, 1/m) and ``x`` K-sparse on ``S``, reproduce
+``x``?  :func:`run_experiment` answers it exactly in K dimensions.
+
+The reduction
+-------------
+While every pick so far is on ``S``, the residual ``r`` lies in
+span(A_S).  Take the thin QR factorization ``A_S = Q R`` with a positive
+diagonal and write ``r = Q u``.  Then
+
+- the on-support correlations are ``A_S^T r = R^T u``;
+- the off-support correlations are ``A_{S^c}^T r = G u`` with
+  ``G = A_{S^c}^T Q``;
+- ``Q^T y = R x_S =: z``, and the residual after least squares on the
+  picked columns ``T`` of ``A_S`` is ``Q`` times the residual of ``z``
+  after least squares on columns ``T`` of ``R``.
+
+So the pursuit up to its first off-support pick is a function of
+``(R, G, x_S)``.  The trial succeeds iff at every iteration k the best
+unchosen on-support correlation ``|R^T u_k|`` beats ``max |G u_k|``,
+and the final least-squares coefficients are within the recovery
+tolerance of ``x_S``.  One off-support pick already means failure: K
+picks with one off ``S`` leave a nonzero of ``x`` without a column.
+The on-support residuals ``u_k`` depend on ``R`` and ``x_S`` alone, so
+:func:`reduced_trial_succeeds` runs the K-step pursuit on ``R`` first
+and takes every off-support maximum from one product ``G @ U``.
+
+Why sampling ``(R, G)`` directly is exact:
+
+- ``A_S`` has i.i.d. N(0, 1/m) entries, so ``R`` has the Bartlett law
+  (Muirhead 1982, Thm 3.2.14): independent entries,
+  ``R_ii = sqrt(chi2_{m-i} / m)`` for ``i = 0..K-1`` and
+  ``R_ij ~ N(0, 1/m)`` for ``i < j``.
+- ``Q`` is a function of ``A_S``, which is independent of the
+  off-support columns ``a_j ~ N(0, I/m)``.  For any fixed orthonormal
+  ``Q``, ``Q^T a_j ~ N(0, I_K/m)``, so ``G`` has i.i.d. N(0, 1/m)
+  entries and is independent of ``R`` (Tropp & Gilbert, IEEE T-IT 2007).
+- The columns of ``A`` are exchangeable, so where the support sits does
+  not matter: no support is drawn, and ``x_S`` is laid on columns
+  ``0..K-1`` of ``R`` by the case's own rule.
+
+A trial thus draws ``K^2 + (n - K) K`` normals and ``K`` chi-squares
+instead of ``m n`` normals, and runs in ``O(K^3 + n K^2)`` instead of
+``O(m n K)``, whatever ``m``.  Only exact ties between correlations, an
+event of probability zero, are broken differently than in the dense
+pursuit.  The dense
+:func:`run_trial` stays as the reference that the tests compare with,
+pathwise (the decision on ``R``, ``G`` built from a dense ``A`` equals
+``run_trial`` on that ``A``) and in distribution (tallies agree).
 
 Determinism is structural: trial ``t`` of grid point ``g`` always uses
 ``StreamKey(master_seed, g * trials + t)``, so the tally is a pure
@@ -15,15 +61,22 @@ trials across processes cannot change any result.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
+import numpy as np
 from scipy.stats import norm as _std_normal
 
 from . import bounds
-from .omp import DegenerateColumnError, check_exact_recovery, run_omp
+from .omp import (
+    DegenerateColumnError,
+    IncrementalLeastSquares,
+    check_exact_recovery,
+    run_omp,
+)
 from .phi import PhiFunction
 from .signals import (
     Purpose,
@@ -40,13 +93,19 @@ __all__ = [
     "PointResult",
     "ExperimentResult",
     "TrialError",
+    "SAMPLER",
     "phi_for_case",
     "run_trial",
+    "sample_reduced_trial",
+    "reduced_trial_succeeds",
     "run_experiment",
     "wilson_interval",
 ]
 
 DEFAULT_RECOVERY_TOL = 1e-10
+
+# Name of the trial sampler run_experiment uses, recorded in results.json.
+SAMPLER = "reduced-bartlett"
 
 # Largest m accepted by run_trial; keeps a typo'd config from trying to
 # allocate a multi-gigabyte matrix.
@@ -120,29 +179,6 @@ class ExperimentConfig:
         if not 0.0 < self.recovery_tolerance < 1.0:
             raise ValueError("recovery_tolerance must be in (0, 1)")
 
-    @classmethod
-    def reference_grid(
-        cls,
-        trials: int = 1000,
-        master_seed: int = 0,
-        n: int = 1024,
-    ) -> "ExperimentConfig":
-        """The standard large sweep: m = 100:50:1000, K in {15, 30},
-        all four signal cases."""
-        return cls(
-            n=n,
-            m_values=tuple(range(100, 1001, 50)),
-            k_values=(15, 30),
-            cases=(
-                SignalCase.flat(),
-                SignalCase.decaying(1.1),
-                SignalCase.decaying(1.2),
-                SignalCase.gaussian(1.0),
-            ),
-            trials=trials,
-            master_seed=master_seed,
-        )
-
     def grid_points(self) -> Iterator[Tuple[SignalCase, int, int]]:
         """Yield (case, K, m) in deterministic sweep order."""
         for case in self.cases:
@@ -179,10 +215,11 @@ def run_trial(
     tolerance: float = DEFAULT_RECOVERY_TOL,
     matrix: Optional[SensingMatrix] = None,
 ) -> bool:
-    """One recovery trial; True iff the pursuit reproduces the signal.
+    """One dense recovery trial; True iff the pursuit reproduces the signal.
 
-    The matrix, support and nonzero values come from substreams of
-    ``key``, so the outcome is a pure function of the arguments.
+    The reference for the reduced trial that :func:`run_experiment`
+    runs.  The matrix, support and nonzero values come from substreams
+    of ``key``, so the outcome is a pure function of the arguments.
     ``matrix`` overrides the sampled one (a hook for tests that need a
     designed operator, e.g. the identity).
 
@@ -206,6 +243,77 @@ def run_trial(
     return check_exact_recovery(result, signal, tolerance)
 
 
+def sample_reduced_trial(
+    m: int, n: int, K: int, case: SignalCase, key: StreamKey
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw ``(R, G, x_S)`` of one trial (see the module docstring).
+
+    From the ``Purpose.MATRIX`` stream of ``key``, in this order: the
+    strictly upper part of the K-by-K Bartlett factor ``R`` (N(0, 1/m)),
+    its diagonal ``sqrt(chi2_{m-i} / m)`` for ``i = 0..K-1``, and the
+    (n-K)-by-K off-support block ``G`` (N(0, 1/m)).  ``x_S`` follows the
+    case's rule; Gaussian values come from the ``Purpose.SIGNAL`` stream,
+    so they equal the dense trial's values for the same key.
+
+    Raises
+    ------
+    ValueError
+        If ``K`` is not in ``[1, min(m, n))``.
+    """
+    if not 1 <= K < min(m, n):
+        raise ValueError(f"need 1 <= K < min(m, n), got K={K}, m={m}, n={n}")
+    stream = key.with_purpose(Purpose.MATRIX).generator()
+    scale = 1.0 / math.sqrt(m)
+    R = np.triu(stream.standard_normal((K, K)), 1) * scale
+    R[np.diag_indices(K)] = np.sqrt(stream.chisquare(m - np.arange(K)) / m)
+    G = stream.standard_normal((n - K, K)) * scale
+    x_S = generate_signal(K, np.arange(K), case, key.with_purpose(Purpose.SIGNAL))
+    return R, G, x_S.values
+
+
+def reduced_trial_succeeds(
+    R: np.ndarray, G: np.ndarray, x_S: np.ndarray, tolerance: float
+) -> bool:
+    """Does OMP recover ``x_S`` from the reduced trial ``(R, G, x_S)``?
+
+    Runs the pursuit on the columns of ``R`` from ``z = R x_S``, keeping
+    each residual ``u_k`` and each winning on-support correlation, then
+    takes the off-support maxima ``|G @ U|.max(axis=0)`` in one product.
+    True iff every on-support pick beats its off-support maximum and the
+    least-squares coefficients are within ``tolerance`` (l2) of ``x_S``.
+
+    Raises
+    ------
+    DegenerateColumnError
+        If a diagonal entry of ``R`` is not positive (``A_S`` would be
+        rank-deficient); ``index`` is its column.
+    """
+    K = x_S.size
+    bad = np.flatnonzero(~(np.diagonal(R) > 0.0))
+    if bad.size:
+        raise DegenerateColumnError(iteration=int(bad[0]) + 1, index=int(bad[0]))
+    z = R @ x_S
+    ls = IncrementalLeastSquares(K, K)
+    U = np.empty((K, K))
+    wins = np.empty(K)
+    order = np.empty(K, dtype=np.intp)
+    chosen = np.zeros(K, dtype=bool)
+    u = z
+    for k in range(K):
+        U[:, k] = u
+        correlations = np.abs(R.T @ u)
+        correlations[chosen] = -1.0
+        j = int(np.argmax(correlations))
+        wins[k] = correlations[j]
+        ls.append(R[:, j])
+        order[k] = j
+        chosen[j] = True
+        u = ls.project_out(z)
+    if not np.all(wins > np.abs(G @ U).max(axis=0)):
+        return False
+    return float(np.linalg.norm(ls.solve(z) - x_S[order])) <= tolerance
+
+
 def _count_successes(
     m: int,
     n: int,
@@ -216,7 +324,7 @@ def _count_successes(
     count: int,
     tolerance: float,
 ) -> int:
-    """Run ``count`` consecutive keyed trials; return the success tally.
+    """Run ``count`` consecutive keyed reduced trials; return the tally.
 
     Top-level so process pools can pickle it.
     """
@@ -224,7 +332,9 @@ def _count_successes(
     for t in range(first_trial, first_trial + count):
         key = StreamKey(master_seed, trial_index=t)
         try:
-            if run_trial(m, n, K, case, key, tolerance):
+            if reduced_trial_succeeds(
+                *sample_reduced_trial(m, n, K, case, key), tolerance
+            ):
                 hits += 1
         except DegenerateColumnError as err:
             raise TrialError(m, K, case, t, err) from err
@@ -262,12 +372,6 @@ class ExperimentResult:
 
     config: ExperimentConfig
     points: Tuple[PointResult, ...]
-
-    def point(self, m: int, K: int, case: SignalCase) -> PointResult:
-        for p in self.points:
-            if p.m == m and p.K == K and p.case == case:
-                return p
-        raise KeyError(f"no grid point m={m}, K={K}, case={case.label()}")
 
 
 def wilson_interval(
@@ -323,7 +427,9 @@ def run_experiment(
     chunks are in, while the pool works on later points.  Per-trial
     keyed streams make the result identical for every worker count.  A
     failing trial raises its ``TrialError`` here and cancels the tasks
-    not yet started.
+    not yet started.  Each bound is evaluated once per distinct
+    argument set: ``baseline_bound`` per (m, K), ``disparity_bound`` per
+    (m, K, phi).
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -335,6 +441,12 @@ def run_experiment(
         for g, (case, K, m) in enumerate(grid)
         for start, count in chunks
     ]
+    baseline = functools.cache(
+        lambda m, K: bounds.baseline_bound(m, config.n, K).value
+    )
+    disparity = functools.cache(
+        lambda m, K, phi: bounds.disparity_bound(m, config.n, K, phi).value
+    )
     points = []
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
@@ -347,10 +459,8 @@ def run_experiment(
                 case=case,
                 trials=config.trials,
                 successes=sum(next(tallies) for _ in chunks),
-                disparity_bound_value=bounds.disparity_bound(
-                    m, config.n, K, phi_for_case(case)
-                ).value,
-                baseline_bound_value=bounds.baseline_bound(m, config.n, K).value,
+                disparity_bound_value=disparity(m, K, phi_for_case(case)),
+                baseline_bound_value=baseline(m, K),
             )
             points.append(point)
             if progress is not None:

@@ -18,7 +18,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ._version import __version__
 from .bounds import BoundResult
-from .montecarlo import ExperimentResult
+from .montecarlo import SAMPLER, ExperimentResult
 from .phi import PhiFunction, PhiValidationReport
 
 __all__ = [
@@ -120,7 +120,7 @@ def _case_dict(case) -> dict:
 
 
 def experiment_json(result: ExperimentResult) -> str:
-    """Full provenance document: config echo, seed, version, all points."""
+    """Full provenance document: config echo with the sampler, version, all points."""
     config = result.config
     return _json_text(
         {
@@ -133,6 +133,7 @@ def experiment_json(result: ExperimentResult) -> str:
                 "trials": config.trials,
                 "master_seed": config.master_seed,
                 "recovery_tolerance": config.recovery_tolerance,
+                "sampler": SAMPLER,
             },
             "points": _experiment_table(result).records(),
         }

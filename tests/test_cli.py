@@ -15,7 +15,6 @@ from omp_lab.cli import (
     EXIT_USAGE,
     main,
 )
-from omp_lab.omp import DegenerateColumnError
 from omp_lab.signals import SignalCase
 
 _CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -137,10 +136,15 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_trial_failure_exits_1(self, tmp_path, monkeypatch, capsys, threads):
-        def explode(*args, **kwargs):
-            raise DegenerateColumnError(iteration=1, index=0)
+        # a sampled R with a zero diagonal entry is a degenerate trial
+        sample = montecarlo.sample_reduced_trial
 
-        monkeypatch.setattr(montecarlo, "run_trial", explode)
+        def degenerate(*args):
+            R, G, x_S = sample(*args)
+            R[0, 0] = 0.0
+            return R, G, x_S
+
+        monkeypatch.setattr(montecarlo, "sample_reduced_trial", degenerate)
         args = _sim_args(tmp_path)
         args[args.index("--threads") + 1] = threads
         assert main(args) == EXIT_RUNTIME

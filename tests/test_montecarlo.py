@@ -5,6 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.stats import fisher_exact
 
 from omp_lab import bounds as bounds_mod
 from omp_lab import montecarlo
@@ -13,12 +14,33 @@ from omp_lab.montecarlo import (
     PointResult,
     TrialError,
     phi_for_case,
+    reduced_trial_succeeds,
     run_experiment,
     run_trial,
+    sample_reduced_trial,
     wilson_interval,
 )
 from omp_lab.omp import DegenerateColumnError
-from omp_lab.signals import SensingMatrix, SignalCase, StreamKey
+from omp_lab.signals import (
+    Purpose,
+    SensingMatrix,
+    SignalCase,
+    StreamKey,
+    generate_signal,
+    sample_sensing_matrix,
+    sample_support,
+)
+
+ALL_CASES = (
+    SignalCase.flat(),
+    SignalCase.decaying(1.1),
+    SignalCase.decaying(1.2),
+    SignalCase.gaussian(1.0),
+)
+
+# The equivalence grid: at n=256, K=8 the success rate runs from about 0
+# at m=24 to about 0.4 (flat) and 0.9 (gauss) at m=48.
+EQ_N, EQ_K, EQ_M = 256, 8, tuple(range(24, 49, 4))
 
 
 def _small_config(**overrides):
@@ -41,14 +63,6 @@ class TestExperimentConfig:
         assert [p[1:] for p in config.grid_points()] == [
             (3, 24), (3, 40), (3, 24), (3, 40)
         ]
-
-    def test_reference_grid_shape(self):
-        config = ExperimentConfig.reference_grid(trials=200, master_seed=1)
-        assert config.n == 1024
-        assert config.m_values == tuple(range(100, 1001, 50))
-        assert config.k_values == (15, 30)
-        assert len(config.cases) == 4
-        assert config.point_count == 19 * 2 * 4
 
     @pytest.mark.parametrize(
         "overrides",
@@ -128,6 +142,119 @@ class TestRunTrial:
             run_trial(1000, 1024, 30, flat, StreamKey(1, t)) for t in range(30)
         )
         assert low < high
+
+
+def _dense_reduction(m, n, K, case, key):
+    """(R, G, x_S) of the dense trial that ``run_trial`` runs for ``key``:
+    the QR of A_S with a positive diagonal, and G = A_{S^c}^T Q."""
+    A = sample_sensing_matrix(m, n, key.with_purpose(Purpose.MATRIX)).entries
+    support = sample_support(n, K, key.with_purpose(Purpose.SUPPORT))
+    x = generate_signal(n, support, case, key.with_purpose(Purpose.SIGNAL)).values
+    Q, R = np.linalg.qr(A[:, support])
+    signs = np.sign(np.diagonal(R))
+    off = np.ones(n, dtype=bool)
+    off[support] = False
+    return R * signs[:, None], A[:, off].T @ (Q * signs), x[support]
+
+
+class TestReducedTrial:
+    def test_sampler_shapes_and_determinism(self):
+        key = StreamKey(3, 11)
+        R, G, x_S = sample_reduced_trial(40, 64, 5, SignalCase.flat(), key)
+        assert R.shape == (5, 5) and G.shape == (59, 5) and x_S.shape == (5,)
+        assert np.all(np.tril(R, -1) == 0.0) and np.all(np.diagonal(R) > 0.0)
+        again = sample_reduced_trial(40, 64, 5, SignalCase.flat(), key)
+        for a, b in zip((R, G, x_S), again):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.label())
+    def test_signal_values_follow_the_case(self, case):
+        # the dense trial's nonzeros, in support order, for the same key
+        key = StreamKey(8, 2)
+        _, _, x_S = sample_reduced_trial(50, 128, 6, case, key)
+        _, _, dense = _dense_reduction(50, 128, 6, case, key)
+        assert np.array_equal(x_S, dense)
+
+    def test_sampler_moments(self):
+        # E[R_ii^2] = (m - i)/m, E[R_ij^2] = E[G_ij^2] = 1/m; a chi-square
+        # with m - i + 1 degrees of freedom would miss by 1/m = 5 SE here
+        m, n, K, draws = 40, 48, 8, 2000
+        Rs, Gs = zip(*(
+            sample_reduced_trial(m, n, K, SignalCase.flat(), StreamKey(1, t))[:2]
+            for t in range(draws)
+        ))
+        diag_sq = np.mean([np.diagonal(R) ** 2 for R in Rs], axis=0)
+        expected = (m - np.arange(K)) / m
+        se = np.sqrt(2.0 * (m - np.arange(K)) / m**2 / draws)
+        assert np.all(np.abs(diag_sq - expected) < 4.0 * se)
+        upper = np.array([R[np.triu_indices(K, 1)] for R in Rs])
+        for block in (upper, np.array(Gs)):
+            assert abs(np.mean(block**2) * m - 1.0) < 4.0 * np.sqrt(2.0 / block.size)
+            assert abs(np.mean(block) * np.sqrt(m)) < 4.0 / np.sqrt(block.size)
+
+    def test_decision_on_designed_inputs(self):
+        x_S = np.array([1.0, 2.0, 3.0])
+        assert reduced_trial_succeeds(np.eye(3), np.zeros((5, 3)), x_S, 1e-10)
+        G = np.zeros((5, 3))
+        G[4, 2] = 5.0  # beats the first on-support correlation, 3
+        assert not reduced_trial_succeeds(np.eye(3), G, x_S, 1e-10)
+
+    def test_non_positive_diagonal_raises(self):
+        R = np.eye(4)
+        R[2, 2] = 0.0
+        with pytest.raises(DegenerateColumnError) as info:
+            reduced_trial_succeeds(R, np.zeros((3, 4)), np.ones(4), 1e-10)
+        assert (info.value.iteration, info.value.index) == (3, 2)
+
+    def test_validation(self):
+        for m, n, K in ((10, 64, 10), (10, 64, 0), (40, 8, 8)):
+            with pytest.raises(ValueError):
+                sample_reduced_trial(m, n, K, SignalCase.flat(), StreamKey(0))
+
+    def test_pathwise_equal_to_dense(self):
+        # The decision on (R, G, x_S) built from a dense instance must be
+        # exactly run_trial's outcome on that instance.
+        outcomes = []
+        for m in EQ_M:
+            for case in ALL_CASES:
+                for t in range(20):
+                    key = StreamKey(2024, t)
+                    dense = run_trial(m, EQ_N, EQ_K, case, key)
+                    reduced = reduced_trial_succeeds(
+                        *_dense_reduction(m, EQ_N, EQ_K, case, key), 1e-10
+                    )
+                    assert reduced == dense, (m, case.label(), t)
+                    outcomes.append(dense)
+        assert len(outcomes) >= 500
+        assert set(outcomes) == {True, False}
+
+    @pytest.mark.slow
+    def test_distribution_equal_to_dense(self):
+        # Sampled trials against dense trials, independent seeds, 500 each
+        # per grid point: a two-sided Fisher exact test per point,
+        # Bonferroni-corrected to a family-wise alpha of 1e-3.
+        trials = 500
+        points = [(m, case) for m in EQ_M for case in ALL_CASES]
+        alpha = 1e-3 / len(points)
+        rates = []
+        for m, case in points:
+            reduced = sum(
+                reduced_trial_succeeds(
+                    *sample_reduced_trial(m, EQ_N, EQ_K, case, StreamKey(31, t)),
+                    1e-10,
+                )
+                for t in range(trials)
+            )
+            dense = sum(
+                run_trial(m, EQ_N, EQ_K, case, StreamKey(37, t))
+                for t in range(trials)
+            )
+            table = [[reduced, trials - reduced], [dense, trials - dense]]
+            p_value = fisher_exact(table, alternative="two-sided")[1]
+            assert p_value > alpha, (m, case.label(), reduced, dense, p_value)
+            rates.append(dense / trials)
+        # the grid must cross the transition, or the test has no power
+        assert min(rates) < 0.2 and max(rates) > 0.8
 
 
 class TestWilsonInterval:
@@ -221,6 +348,29 @@ class TestRunExperiment:
                 bounds_mod.baseline_bound(p.m, p.n, p.K).value
             )
 
+    def test_each_bound_evaluated_once(self, monkeypatch):
+        # both Gaussian cases share the gauss budget; no bound uses the case
+        calls = []
+        for name in ("baseline_bound", "disparity_bound"):
+            real = getattr(bounds_mod, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls.append((_name, *args))
+                return _real(*args)
+
+            monkeypatch.setattr(bounds_mod, name, counted)
+        config = _small_config(
+            trials=1,
+            cases=(
+                SignalCase.flat(), SignalCase.gaussian(1.0), SignalCase.gaussian(2.0)
+            ),
+        )
+        run_experiment(config)
+        assert len(calls) == len(set(calls))
+        assert sorted(c[:2] for c in calls) == [
+            ("baseline_bound", 24), ("baseline_bound", 40),
+        ] + [("disparity_bound", 24)] * 2 + [("disparity_bound", 40)] * 2
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_progress_callback(self, workers):
         config = _small_config(trials=2)
@@ -234,25 +384,26 @@ class TestRunExperiment:
             (i + 1, 4, *point) for i, point in enumerate(config.grid_points())
         ]
 
-    def test_point_lookup(self):
-        config = _small_config(trials=2)
-        result = run_experiment(config)
-        p = result.point(40, 3, SignalCase.flat())
-        assert (p.m, p.K) == (40, 3)
-        with pytest.raises(KeyError):
-            result.point(41, 3, SignalCase.flat())
-
     def test_workers_validated(self):
         with pytest.raises(ValueError):
             run_experiment(_small_config(trials=1), workers=0)
 
 
+def degenerate_sampler(monkeypatch):
+    """Make every sampled trial's R singular in its first column."""
+    sample = montecarlo.sample_reduced_trial
+
+    def degenerate(*args):
+        R, G, x_S = sample(*args)
+        R[0, 0] = 0.0
+        return R, G, x_S
+
+    monkeypatch.setattr(montecarlo, "sample_reduced_trial", degenerate)
+
+
 class TestTrialError:
     def test_wraps_solver_failure_with_location(self, monkeypatch):
-        def explode(*args, **kwargs):
-            raise DegenerateColumnError(iteration=1, index=0)
-
-        monkeypatch.setattr(montecarlo, "run_trial", explode)
+        degenerate_sampler(monkeypatch)
         with pytest.raises(TrialError) as info:
             montecarlo._count_successes(
                 10, 20, 2, SignalCase.flat(), 0, 5, 3, 1e-10
@@ -265,10 +416,7 @@ class TestTrialError:
     def test_crosses_the_process_pool(self, monkeypatch):
         # workers inherit the patched module; the parent must get the
         # TrialError of the first chunk, with its location intact
-        def explode(*args, **kwargs):
-            raise DegenerateColumnError(iteration=1, index=0)
-
-        monkeypatch.setattr(montecarlo, "run_trial", explode)
+        degenerate_sampler(monkeypatch)
         with pytest.raises(TrialError) as info:
             run_experiment(_small_config(), workers=2)
         err = info.value

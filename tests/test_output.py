@@ -74,6 +74,7 @@ class TestExperimentSerialization:
         assert doc["config"]["master_seed"] == 5
         assert doc["config"]["cases"] == [{"kind": "flat"}]
         assert doc["config"]["m_values"] == [24, 40]
+        assert doc["config"]["sampler"] == "reduced-bartlett"
         assert len(doc["points"]) == 2
         point = doc["points"][0]
         assert point["case"] == "flat"
