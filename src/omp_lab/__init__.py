@@ -8,9 +8,7 @@ from ._version import __version__
 from .bounds import (
     BoundResult,
     baseline_bound,
-    baseline_bound_at,
     disparity_bound,
-    disparity_bound_at,
     disparity_interval_upper,
 )
 from .montecarlo import (
@@ -31,7 +29,6 @@ from .omp import (
 from .phi import (
     PhiFunction,
     PhiValidationReport,
-    disparity_ratio,
     validate_phi_empirical,
     vector_disparity_ratio,
 )
@@ -61,13 +58,10 @@ __all__ = [
     "SparseSignal",
     "StreamKey",
     "baseline_bound",
-    "baseline_bound_at",
     "brute_force_best_support",
     "check_exact_recovery",
     "disparity_bound",
-    "disparity_bound_at",
     "disparity_interval_upper",
-    "disparity_ratio",
     "generate_signal",
     "phi_for_case",
     "run_experiment",

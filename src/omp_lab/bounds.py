@@ -28,10 +28,9 @@ Baseline bound
 All arithmetic runs in the log domain: with n - K in the thousands the
 per-term factors sit extremely close to 1, and ``log(1 - e^-a)`` is
 computed by the standard two-branch rule so neither tiny nor huge ``a``
-loses precision.  The maximization evaluates a 1024-point grid over the
-feasible interval, then polishes the best grid point with scipy's
-bounded scalar minimizer between its two grid neighbours, to 1e-9 in
-eps; the polished point replaces the grid point only if it is higher.
+loses precision.  The maximization is a nested grid scan: 1025 evenly
+spaced points over ``[0, U]``, then twice more over the two grid
+neighbours of the best point, which pins eps to about ``U / 2.7e8``.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .phi import PhiFunction
 
@@ -53,14 +51,12 @@ __all__ = [
     "baseline_interval_upper",
     "log_disparity_bound_at",
     "log_baseline_bound_at",
-    "disparity_bound_at",
-    "baseline_bound_at",
     "disparity_bound",
     "baseline_bound",
 ]
 
 _GRID_POINTS = 1024
-_EPS_TOL = 1e-9
+_GRID_ROUNDS = 3
 
 _LN2 = math.log(2.0)
 
@@ -193,18 +189,6 @@ def log_baseline_bound_at(
     return float(out[0]) if scalar else out
 
 
-def disparity_bound_at(
-    m: int, n: int, K: int, phi: PhiFunction, eps: float
-) -> float:
-    """Disparity-aware bound at fixed ``eps``, clamped to [0, 1]."""
-    return _clamp_exp(float(log_disparity_bound_at(m, n, K, phi, eps)))
-
-
-def baseline_bound_at(m: int, n: int, K: int, eps: float) -> float:
-    """Baseline bound at fixed ``eps``, clamped to [0, 1]."""
-    return _clamp_exp(float(log_baseline_bound_at(m, n, K, eps)))
-
-
 def _clamp_exp(log_value: float) -> float:
     if log_value == -np.inf:
         return 0.0
@@ -213,13 +197,16 @@ def _clamp_exp(log_value: float) -> float:
 
 def _maximize(
     upper: float,
-    log_f: Callable[[Union[float, np.ndarray]], Union[float, np.ndarray]],
-    closed_upper: bool,
+    log_f: Callable[[np.ndarray], np.ndarray],
 ) -> BoundResult:
-    """Maximize a log objective over ``(0, upper]`` (``(0, upper)`` unless
-    ``closed_upper``): a grid scan, then a bounded scipy polish between
-    the grid neighbours of the best point, kept only if it beats that
-    point.  A nonpositive ``upper`` yields the infeasible result, with
+    """Maximize a log objective over ``[0, upper]`` by a nested grid scan.
+
+    Each of ``_GRID_ROUNDS`` rounds evaluates ``log_f`` on
+    ``_GRID_POINTS + 1`` evenly spaced points, the first over
+    ``[0, upper]`` and each later one between the two grid neighbours of
+    the previous round's best point.  Both objectives are ``-inf`` at 0
+    and at an open upper end, so the scan never picks either.
+    A nonpositive ``upper`` yields the infeasible result, with
     ``value = 0``, rather than an error, so sweeps can record every
     point.
     """
@@ -231,26 +218,17 @@ def _maximize(
             interval_upper=upper,
             feasible=False,
         )
-    steps = _GRID_POINTS if closed_upper else _GRID_POINTS + 1
-    grid = upper * np.arange(1, _GRID_POINTS + 1) / steps
-    values = log_f(grid)
-    i = int(np.argmax(values))
-    best_eps, best_val = float(grid[i]), float(values[i])
-    polish = minimize_scalar(
-        lambda e: -log_f(e),
-        bounds=(
-            float(grid[i - 1]) if i > 0 else 0.0,
-            float(grid[i + 1]) if i + 1 < grid.size else upper,
-        ),
-        method="bounded",
-        options={"xatol": _EPS_TOL},
-    )
-    if -polish.fun > best_val:
-        best_eps, best_val = float(polish.x), float(-polish.fun)
+    lo, hi = 0.0, upper
+    for _ in range(_GRID_ROUNDS):
+        grid = np.linspace(lo, hi, _GRID_POINTS + 1)
+        values = log_f(grid)
+        i = int(np.argmax(values))
+        lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, _GRID_POINTS)])
+    best_val = float(values[i])
     return BoundResult(
         value=_clamp_exp(best_val),
         log_value=best_val,
-        epsilon_star=best_eps,
+        epsilon_star=float(grid[i]),
         interval_upper=upper,
         feasible=True,
     )
@@ -263,7 +241,6 @@ def disparity_bound(m: int, n: int, K: int, phi: PhiFunction) -> BoundResult:
     return _maximize(
         disparity_interval_upper(m, K, phi),
         lambda e: log_disparity_bound_at(m, n, K, phi, e),
-        closed_upper=True,
     )
 
 
@@ -273,5 +250,4 @@ def baseline_bound(m: int, n: int, K: int) -> BoundResult:
     return _maximize(
         baseline_interval_upper(m, K),
         lambda e: log_baseline_bound_at(m, n, K, e),
-        closed_upper=False,
     )

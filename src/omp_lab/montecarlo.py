@@ -63,12 +63,12 @@ from __future__ import annotations
 
 import functools
 import math
+import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
-from scipy.stats import norm as _std_normal
 
 from . import bounds
 from .omp import (
@@ -380,7 +380,9 @@ def wilson_interval(
     """Wilson score interval for a binomial proportion.
 
     Stays inside [0, 1] and keeps sensible width at proportions of 0 or
-    1, where the normal-approximation interval collapses.
+    1, where the normal-approximation interval collapses.  At those
+    proportions the closed end is exactly 0 or 1, which rounding in the
+    formula would otherwise miss by an ulp.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -388,7 +390,7 @@ def wilson_interval(
         raise ValueError("successes must lie in [0, trials]")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
-    z = float(_std_normal.ppf(0.5 + confidence / 2.0))
+    z = statistics.NormalDist().inv_cdf(0.5 + confidence / 2.0)
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2.0 * trials)) / denom
@@ -397,7 +399,9 @@ def wilson_interval(
         * math.sqrt(phat * (1.0 - phat) / trials + z * z / (4.0 * trials * trials))
         / denom
     )
-    return max(0.0, center - half), min(1.0, center + half)
+    low = 0.0 if successes == 0 else max(0.0, center - half)
+    high = 1.0 if successes == trials else min(1.0, center + half)
+    return low, high
 
 
 def _chunk_ranges(total: int, chunks: int) -> Iterator[Tuple[int, int]]:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .signals import SensingMatrix, SparseSignal
 
@@ -155,7 +154,7 @@ class IncrementalLeastSquares:
             raise ValueError("no columns appended yet")
         k = self._k
         z = self._q[:, :k].T @ y
-        return solve_triangular(self._r[:k, :k], z, lower=False)
+        return np.linalg.solve(self._r[:k, :k], z)
 
     def project_out(self, y: np.ndarray) -> np.ndarray:
         """Residual of y after least-squares fit on the appended columns."""

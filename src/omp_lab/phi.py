@@ -41,11 +41,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .signals import Purpose, SparseSignal, StreamKey
+from .signals import Purpose, StreamKey
 
 __all__ = [
     "PhiFunction",
-    "disparity_ratio",
     "vector_disparity_ratio",
     "PhiValidationReport",
     "validate_phi_empirical",
@@ -149,25 +148,6 @@ def vector_disparity_ratio(values: Sequence[float]) -> float:
         raise ValueError("ratio undefined for the zero vector")
     l1 = float(np.abs(v).sum())
     return l1 * l1 / sq
-
-
-def disparity_ratio(signal: SparseSignal, subset: Optional[Sequence[int]] = None) -> float:
-    """Squared l1/l2 ratio of a signal restricted to ``subset``.
-
-    ``subset`` defaults to the full support.  Indices refer to positions
-    in the ambient vector; they must lie on the support so the restricted
-    vector is nonzero.
-    """
-    if subset is None:
-        restricted = signal.values[signal.support]
-    else:
-        subset = np.asarray(subset, dtype=np.intp)
-        if subset.size == 0:
-            raise ValueError("subset must be nonempty")
-        if not np.all(np.isin(subset, signal.support)):
-            raise ValueError("subset must lie inside the support")
-        restricted = signal.values[subset]
-    return vector_disparity_ratio(restricted)
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,8 @@ from hypothesis import strategies as st
 from omp_lab.bounds import (
     BoundResult,
     baseline_bound,
-    baseline_bound_at,
     baseline_interval_upper,
     disparity_bound,
-    disparity_bound_at,
     disparity_interval_upper,
     log1mexp,
     log_baseline_bound_at,
@@ -96,20 +94,20 @@ class TestPointEvaluations:
     """Frozen dual-implementation oracle values at fixed epsilon."""
 
     def test_new_bound_reference(self):
-        assert disparity_bound_at(500, 1024, 15, CS, 0.12) == pytest.approx(
+        assert math.exp(log_disparity_bound_at(500, 1024, 15, CS, 0.12)) == pytest.approx(
             0.88569545659311990367, abs=1e-10
         )
 
     def test_new_bound_decay_reference(self):
-        assert disparity_bound_at(500, 1024, 15, D12, 0.3) == pytest.approx(
+        assert math.exp(log_disparity_bound_at(500, 1024, 15, D12, 0.3)) == pytest.approx(
             0.56060330494390699552, abs=1e-10
         )
 
     def test_baseline_references(self):
-        assert baseline_bound_at(500, 1024, 15, 0.12) == pytest.approx(
+        assert math.exp(log_baseline_bound_at(500, 1024, 15, 0.12)) == pytest.approx(
             0.7203158631751107583, abs=1e-10
         )
-        assert baseline_bound_at(900, 1024, 30, 0.08) == pytest.approx(
+        assert math.exp(log_baseline_bound_at(900, 1024, 30, 0.08)) == pytest.approx(
             0.1429708424158113908, abs=1e-10
         )
 

@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -349,6 +351,20 @@ class TestTopLevel:
 
     def test_bad_flag_value(self):
         assert main(["bound", "--m", "zero", "--K", "3"]) == EXIT_USAGE
+
+    def test_import_loads_no_scipy(self):
+        # numpy is the only runtime dependency; scipy is a test extra.
+        code = (
+            "import json, sys, omp_lab.cli; print(json.dumps(sorted("
+            "m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert json.loads(done.stdout) == []
 
 
 class TestNonFiniteNumbers:

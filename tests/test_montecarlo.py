@@ -279,9 +279,10 @@ class TestWilsonInterval:
         assert hi == pytest.approx(min(1.0, ohi), abs=1e-12)
 
     def test_contains_point_estimate_and_stays_in_unit(self):
-        for s, t in ((0, 5), (5, 5), (3, 7), (50, 60)):
+        ends = [(s, t) for t in range(1, 1001) for s in (0, t)]
+        for s, t in [(3, 7), (50, 60)] + ends:
             lo, hi = wilson_interval(s, t)
-            assert 0.0 <= lo <= s / t <= hi <= 1.0
+            assert 0.0 <= lo <= s / t <= hi <= 1.0, (s, t)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from omp_lab.phi import (
     PhiFunction,
-    disparity_ratio,
     validate_phi_empirical,
     vector_disparity_ratio,
 )
-from omp_lab.signals import SignalCase, SparseSignal, StreamKey, generate_signal
+from omp_lab.signals import StreamKey
 
 # Frozen 60-digit reference evaluations of the geometric budget
 # (a**t - 1)(a + 1) / ((a**t + 1)(a - 1)).
@@ -160,21 +159,6 @@ class TestDisparityRatio:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             vector_disparity_ratio([0.0, 0.0])
-
-    def test_signal_full_support_default(self):
-        sig = SparseSignal(values=np.array([0.0, 2.0, 0.0, 2.0]), support=np.array([1, 3]))
-        assert disparity_ratio(sig) == pytest.approx(2.0)
-
-    def test_signal_subset(self):
-        sig = generate_signal(10, [0, 3, 8], SignalCase.decaying(1.5), StreamKey(0))
-        sub = disparity_ratio(sig, subset=[0, 3])
-        phi = PhiFunction.strongly_decaying(1.5)
-        assert sub == pytest.approx(phi(2), rel=1e-12)
-
-    def test_subset_off_support_rejected(self):
-        sig = generate_signal(10, [0, 3], SignalCase.flat(), StreamKey(0))
-        with pytest.raises(ValueError):
-            disparity_ratio(sig, subset=[0, 1])
 
 
 class TestValidatePhiEmpirical:
