@@ -8,26 +8,25 @@ comparison.  A trial asks: do K iterations of OMP on ``y = A x``, with
 
 The reduction
 -------------
-While every pick so far is on ``S``, the residual ``r`` lies in
-span(A_S).  Take the thin QR factorization ``A_S = Q R`` with a positive
-diagonal and write ``r = Q u``.  Then
+Take the thin QR factorization ``A_S = Q R`` with a positive diagonal
+and project everything onto span(A_S): ``B = Q^T A`` is K-by-n, with
+``R`` on the support columns and ``G^T`` elsewhere, ``G = A_{S^c}^T Q``,
+and ``Q^T y = R x_S``.  While every pick so far is on ``S``, the
+residual lies in span(A_S), so
 
-- the on-support correlations are ``A_S^T r = R^T u``;
-- the off-support correlations are ``A_{S^c}^T r = G u`` with
-  ``G = A_{S^c}^T Q``;
-- ``Q^T y = R x_S =: z``, and the residual after least squares on the
-  picked columns ``T`` of ``A_S`` is ``Q`` times the residual of ``z``
-  after least squares on columns ``T`` of ``R``.
+- the residual is ``r = Q u`` for the residual ``u`` of OMP on ``B``;
+- the correlations are ``A^T r = B^T u``, column for column;
+- least squares on picked columns ``T`` of ``A`` leaves ``Q`` times the
+  residual of least squares on columns ``T`` of ``B``.
 
-So the pursuit up to its first off-support pick is a function of
-``(R, G, x_S)``.  The trial succeeds iff at every iteration k the best
-unchosen on-support correlation ``|R^T u_k|`` beats ``max |G u_k|``,
-and the final least-squares coefficients are within the recovery
-tolerance of ``x_S``.  One off-support pick already means failure: K
-picks with one off ``S`` leave a nonzero of ``x`` without a column.
-The on-support residuals ``u_k`` depend on ``R`` and ``x_S`` alone, so
-:func:`reduced_trial_succeeds` runs the K-step pursuit on ``R`` first
-and takes every off-support maximum from one product ``G @ U``.
+So OMP on ``(B, Q^T y)`` picks the same columns as OMP on ``(A, y)``
+through the first off-support pick, and one off-support pick already
+means failure for both: K picks with one off ``S`` leave a nonzero of
+``x`` without a column.  Each trial is therefore decided by
+:func:`~omp_lab.omp.run_omp` on ``B`` and
+:func:`~omp_lab.omp.check_exact_recovery`, the same solver and check
+as the dense trial.  The columns of ``A`` are exchangeable, so the
+support is laid on columns ``0..K-1`` of ``B``.
 
 Why sampling ``(R, G)`` directly is exact:
 
@@ -39,18 +38,15 @@ Why sampling ``(R, G)`` directly is exact:
   off-support columns ``a_j ~ N(0, I/m)``.  For any fixed orthonormal
   ``Q``, ``Q^T a_j ~ N(0, I_K/m)``, so ``G`` has i.i.d. N(0, 1/m)
   entries and is independent of ``R`` (Tropp & Gilbert, IEEE T-IT 2007).
-- The columns of ``A`` are exchangeable, so where the support sits does
-  not matter: no support is drawn, and ``x_S`` is laid on columns
-  ``0..K-1`` of ``R`` by the case's own rule.
 
 A trial thus draws ``K^2 + (n - K) K`` normals and ``K`` chi-squares
-instead of ``m n`` normals, and runs in ``O(K^3 + n K^2)`` instead of
+instead of ``m n`` normals, and runs in ``O(n K^2)`` instead of
 ``O(m n K)``, whatever ``m``.  Only exact ties between correlations, an
-event of probability zero, are broken differently than in the dense
-pursuit.  The dense
-:func:`run_trial` stays as the reference that the tests compare with,
-pathwise (the decision on ``R``, ``G`` built from a dense ``A`` equals
-``run_trial`` on that ``A``) and in distribution (tallies agree).
+event of probability zero, can be broken differently than in the dense
+pursuit.  The dense :func:`run_trial` stays as the reference that the
+tests compare with, pathwise (OMP on ``B`` built from a dense ``A``
+decides as ``run_trial`` does on that ``A``) and in distribution
+(tallies agree).
 
 Determinism is structural: trial ``t`` of grid point ``g`` always uses
 ``StreamKey(master_seed, g * trials + t)``, so the tally is a pure
@@ -72,8 +68,8 @@ import numpy as np
 
 from . import bounds
 from .omp import (
+    DEFAULT_RECOVERY_TOL,
     DegenerateColumnError,
-    IncrementalLeastSquares,
     check_exact_recovery,
     run_omp,
 )
@@ -82,6 +78,7 @@ from .signals import (
     Purpose,
     SensingMatrix,
     SignalCase,
+    SparseSignal,
     StreamKey,
     generate_signal,
     sample_sensing_matrix,
@@ -97,12 +94,9 @@ __all__ = [
     "phi_for_case",
     "run_trial",
     "sample_reduced_trial",
-    "reduced_trial_succeeds",
     "run_experiment",
     "wilson_interval",
 ]
-
-DEFAULT_RECOVERY_TOL = 1e-10
 
 # Name of the trial sampler run_experiment uses, recorded in results.json.
 SAMPLER = "reduced-bartlett"
@@ -245,15 +239,17 @@ def run_trial(
 
 def sample_reduced_trial(
     m: int, n: int, K: int, case: SignalCase, key: StreamKey
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw ``(R, G, x_S)`` of one trial (see the module docstring).
+) -> Tuple[SensingMatrix, SparseSignal]:
+    """Draw the K-by-n matrix ``B = [R | G^T]`` and the signal of one trial.
 
-    From the ``Purpose.MATRIX`` stream of ``key``, in this order: the
-    strictly upper part of the K-by-K Bartlett factor ``R`` (N(0, 1/m)),
-    its diagonal ``sqrt(chi2_{m-i} / m)`` for ``i = 0..K-1``, and the
-    (n-K)-by-K off-support block ``G`` (N(0, 1/m)).  ``x_S`` follows the
-    case's rule; Gaussian values come from the ``Purpose.SIGNAL`` stream,
-    so they equal the dense trial's values for the same key.
+    See the module docstring.  From the ``Purpose.MATRIX`` stream of
+    ``key``, in this order: the strictly upper part of the K-by-K
+    Bartlett factor ``R`` (N(0, 1/m)), its diagonal
+    ``sqrt(chi2_{m-i} / m)`` for ``i = 0..K-1``, and the (n-K)-by-K
+    off-support block ``G`` (N(0, 1/m)).  The length-n signal sits on
+    support ``0..K-1`` and follows the case's rule; Gaussian values come
+    from the ``Purpose.SIGNAL`` stream, so they equal the dense trial's
+    nonzeros for the same key.
 
     Raises
     ------
@@ -264,54 +260,12 @@ def sample_reduced_trial(
         raise ValueError(f"need 1 <= K < min(m, n), got K={K}, m={m}, n={n}")
     stream = key.with_purpose(Purpose.MATRIX).generator()
     scale = 1.0 / math.sqrt(m)
-    R = np.triu(stream.standard_normal((K, K)), 1) * scale
-    R[np.diag_indices(K)] = np.sqrt(stream.chisquare(m - np.arange(K)) / m)
-    G = stream.standard_normal((n - K, K)) * scale
-    x_S = generate_signal(K, np.arange(K), case, key.with_purpose(Purpose.SIGNAL))
-    return R, G, x_S.values
-
-
-def reduced_trial_succeeds(
-    R: np.ndarray, G: np.ndarray, x_S: np.ndarray, tolerance: float
-) -> bool:
-    """Does OMP recover ``x_S`` from the reduced trial ``(R, G, x_S)``?
-
-    Runs the pursuit on the columns of ``R`` from ``z = R x_S``, keeping
-    each residual ``u_k`` and each winning on-support correlation, then
-    takes the off-support maxima ``|G @ U|.max(axis=0)`` in one product.
-    True iff every on-support pick beats its off-support maximum and the
-    least-squares coefficients are within ``tolerance`` (l2) of ``x_S``.
-
-    Raises
-    ------
-    DegenerateColumnError
-        If a diagonal entry of ``R`` is not positive (``A_S`` would be
-        rank-deficient); ``index`` is its column.
-    """
-    K = x_S.size
-    bad = np.flatnonzero(~(np.diagonal(R) > 0.0))
-    if bad.size:
-        raise DegenerateColumnError(iteration=int(bad[0]) + 1, index=int(bad[0]))
-    z = R @ x_S
-    ls = IncrementalLeastSquares(K, K)
-    U = np.empty((K, K))
-    wins = np.empty(K)
-    order = np.empty(K, dtype=np.intp)
-    chosen = np.zeros(K, dtype=bool)
-    u = z
-    for k in range(K):
-        U[:, k] = u
-        correlations = np.abs(R.T @ u)
-        correlations[chosen] = -1.0
-        j = int(np.argmax(correlations))
-        wins[k] = correlations[j]
-        ls.append(R[:, j])
-        order[k] = j
-        chosen[j] = True
-        u = ls.project_out(z)
-    if not np.all(wins > np.abs(G @ U).max(axis=0)):
-        return False
-    return float(np.linalg.norm(ls.solve(z) - x_S[order])) <= tolerance
+    B = np.empty((K, n))
+    B[:, :K] = np.triu(stream.standard_normal((K, K)), 1) * scale
+    B[np.diag_indices(K)] = np.sqrt(stream.chisquare(m - np.arange(K)) / m)
+    B[:, K:] = (stream.standard_normal((n - K, K)) * scale).T
+    signal = generate_signal(n, np.arange(K), case, key.with_purpose(Purpose.SIGNAL))
+    return SensingMatrix(B), signal
 
 
 def _count_successes(
@@ -330,14 +284,14 @@ def _count_successes(
     """
     hits = 0
     for t in range(first_trial, first_trial + count):
-        key = StreamKey(master_seed, trial_index=t)
+        matrix, signal = sample_reduced_trial(
+            m, n, K, case, StreamKey(master_seed, trial_index=t)
+        )
         try:
-            if reduced_trial_succeeds(
-                *sample_reduced_trial(m, n, K, case, key), tolerance
-            ):
-                hits += 1
+            result = run_omp(matrix, matrix.entries @ signal.values, K)
         except DegenerateColumnError as err:
             raise TrialError(m, K, case, t, err) from err
+        hits += check_exact_recovery(result, signal, tolerance)
     return hits
 
 

@@ -26,6 +26,7 @@ import numpy as np
 from .signals import SensingMatrix, SparseSignal
 
 __all__ = [
+    "DEFAULT_RECOVERY_TOL",
     "DegenerateColumnError",
     "InstanceTooLargeError",
     "OmpResult",
@@ -42,6 +43,9 @@ _RELATIVE_STOP = 1e-12
 # A new column whose component orthogonal to the current span is below
 # this fraction of its own norm is treated as dependent.
 _DEGENERATE_TOL = 1e-12
+
+# Largest l2 distance from the truth that still counts as exact recovery.
+DEFAULT_RECOVERY_TOL = 1e-10
 
 # Ceiling on the number of candidate supports the exhaustive search will
 # enumerate before refusing.
@@ -139,8 +143,8 @@ class IncrementalLeastSquares:
             correction = q_active.T @ v
             v -= q_active @ correction
             coeffs += correction
-        norm_v = float(np.linalg.norm(v))
-        if norm_v <= _DEGENERATE_TOL * float(np.linalg.norm(a)):
+        norm_v = math.sqrt(v @ v)
+        if norm_v <= _DEGENERATE_TOL * math.sqrt(a @ a):
             raise DegenerateColumnError(iteration=k + 1, index=-1)
         self._q[:, k] = v / norm_v
         self._r[:k, k] = coeffs
@@ -195,7 +199,7 @@ def run_omp(
 
     ls = IncrementalLeastSquares(m, sparsity)
     selected = np.empty(sparsity, dtype=np.intp)
-    norm_y = float(np.linalg.norm(y))
+    norm_y = math.sqrt(y @ y)
     residual = y.copy()
     norms = [norm_y]
     chosen = np.zeros(n, dtype=bool)
@@ -216,7 +220,7 @@ def run_omp(
         selected[k] = j
         chosen[j] = True
         residual = ls.project_out(y)
-        norms.append(float(np.linalg.norm(residual)))
+        norms.append(math.sqrt(residual @ residual))
         k += 1
 
     coefficients = np.zeros(n)
@@ -234,7 +238,7 @@ def run_omp(
 def check_exact_recovery(
     result: OmpResult,
     truth: SparseSignal,
-    tolerance: float = 1e-10,
+    tolerance: float = DEFAULT_RECOVERY_TOL,
 ) -> bool:
     """Did the pursuit reproduce ``truth``?  True iff the coefficient
     vector is within ``tolerance`` of it in the l2 norm."""

@@ -17,6 +17,7 @@ from omp_lab.cli import (
     EXIT_USAGE,
     main,
 )
+from omp_lab.omp import DegenerateColumnError
 from omp_lab.signals import SignalCase
 
 _CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -138,15 +139,11 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_trial_failure_exits_1(self, tmp_path, monkeypatch, capsys, threads):
-        # a sampled R with a zero diagonal entry is a degenerate trial
-        sample = montecarlo.sample_reduced_trial
-
+        # a pursuit that hits a dependent column is a failed trial
         def degenerate(*args):
-            R, G, x_S = sample(*args)
-            R[0, 0] = 0.0
-            return R, G, x_S
+            raise DegenerateColumnError(1, 0)
 
-        monkeypatch.setattr(montecarlo, "sample_reduced_trial", degenerate)
+        monkeypatch.setattr(montecarlo, "run_omp", degenerate)
         args = _sim_args(tmp_path)
         args[args.index("--threads") + 1] = threads
         assert main(args) == EXIT_RUNTIME

@@ -14,17 +14,17 @@ from omp_lab.montecarlo import (
     PointResult,
     TrialError,
     phi_for_case,
-    reduced_trial_succeeds,
     run_experiment,
     run_trial,
     sample_reduced_trial,
     wilson_interval,
 )
-from omp_lab.omp import DegenerateColumnError
+from omp_lab.omp import DegenerateColumnError, check_exact_recovery, run_omp
 from omp_lab.signals import (
     Purpose,
     SensingMatrix,
     SignalCase,
+    SparseSignal,
     StreamKey,
     generate_signal,
     sample_sensing_matrix,
@@ -144,45 +144,67 @@ class TestRunTrial:
         assert low < high
 
 
-def _dense_reduction(m, n, K, case, key):
-    """(R, G, x_S) of the dense trial that ``run_trial`` runs for ``key``:
-    the QR of A_S with a positive diagonal, and G = A_{S^c}^T Q."""
+def _dense_instance(m, n, K, case, key):
+    """(A, signal) of the dense trial that ``run_trial`` runs for ``key``."""
     A = sample_sensing_matrix(m, n, key.with_purpose(Purpose.MATRIX)).entries
     support = sample_support(n, K, key.with_purpose(Purpose.SUPPORT))
-    x = generate_signal(n, support, case, key.with_purpose(Purpose.SIGNAL)).values
-    Q, R = np.linalg.qr(A[:, support])
-    signs = np.sign(np.diagonal(R))
-    off = np.ones(n, dtype=bool)
+    return A, generate_signal(n, support, case, key.with_purpose(Purpose.SIGNAL))
+
+
+def _dense_reduction(A, signal):
+    """(B, signal on 0..K-1, perm) for a dense instance: ``B = Q^T A[:, perm]``
+    with Q from the QR of A_S with a positive diagonal, and ``perm`` the
+    support followed by the off-support columns in index order."""
+    support = signal.support
+    off = np.ones(A.shape[1], dtype=bool)
     off[support] = False
-    return R * signs[:, None], A[:, off].T @ (Q * signs), x[support]
+    perm = np.concatenate([support, np.flatnonzero(off)])
+    Q, R = np.linalg.qr(A[:, support])
+    Q = Q * np.sign(np.diagonal(R))
+    B = Q.T @ A[:, perm]
+    return SensingMatrix(B), SparseSignal(signal.values[perm], np.arange(support.size)), perm
+
+
+def _pursue(matrix, signal):
+    """OMP result and decision of one trial, as ``_count_successes`` runs it."""
+    result = run_omp(matrix, matrix.entries @ signal.values, signal.sparsity)
+    return result, check_exact_recovery(result, signal)
 
 
 class TestReducedTrial:
     def test_sampler_shapes_and_determinism(self):
         key = StreamKey(3, 11)
-        R, G, x_S = sample_reduced_trial(40, 64, 5, SignalCase.flat(), key)
-        assert R.shape == (5, 5) and G.shape == (59, 5) and x_S.shape == (5,)
+        matrix, signal = sample_reduced_trial(40, 64, 5, SignalCase.flat(), key)
+        B = matrix.entries
+        assert B.shape == (5, 64) and signal.length == 64
+        assert np.array_equal(signal.support, np.arange(5))
+        R = B[:, :5]
         assert np.all(np.tril(R, -1) == 0.0) and np.all(np.diagonal(R) > 0.0)
-        again = sample_reduced_trial(40, 64, 5, SignalCase.flat(), key)
-        for a, b in zip((R, G, x_S), again):
-            assert np.array_equal(a, b)
+        again_matrix, again_signal = sample_reduced_trial(
+            40, 64, 5, SignalCase.flat(), key
+        )
+        assert np.array_equal(B, again_matrix.entries)
+        assert np.array_equal(signal.values, again_signal.values)
 
     @pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.label())
     def test_signal_values_follow_the_case(self, case):
         # the dense trial's nonzeros, in support order, for the same key
         key = StreamKey(8, 2)
-        _, _, x_S = sample_reduced_trial(50, 128, 6, case, key)
-        _, _, dense = _dense_reduction(50, 128, 6, case, key)
-        assert np.array_equal(x_S, dense)
+        _, signal = sample_reduced_trial(50, 128, 6, case, key)
+        _, dense = _dense_instance(50, 128, 6, case, key)
+        assert np.array_equal(signal.support, np.arange(6))
+        assert np.array_equal(signal.values[:6], dense.values[dense.support])
 
     def test_sampler_moments(self):
         # E[R_ii^2] = (m - i)/m, E[R_ij^2] = E[G_ij^2] = 1/m; a chi-square
         # with m - i + 1 degrees of freedom would miss by 1/m = 5 SE here
         m, n, K, draws = 40, 48, 8, 2000
-        Rs, Gs = zip(*(
-            sample_reduced_trial(m, n, K, SignalCase.flat(), StreamKey(1, t))[:2]
+        Bs = [
+            sample_reduced_trial(m, n, K, SignalCase.flat(), StreamKey(1, t))[0].entries
             for t in range(draws)
-        ))
+        ]
+        Rs = [B[:, :K] for B in Bs]
+        Gs = [B[:, K:].T for B in Bs]
         diag_sq = np.mean([np.diagonal(R) ** 2 for R in Rs], axis=0)
         expected = (m - np.arange(K)) / m
         se = np.sqrt(2.0 * (m - np.arange(K)) / m**2 / draws)
@@ -193,18 +215,11 @@ class TestReducedTrial:
             assert abs(np.mean(block) * np.sqrt(m)) < 4.0 / np.sqrt(block.size)
 
     def test_decision_on_designed_inputs(self):
-        x_S = np.array([1.0, 2.0, 3.0])
-        assert reduced_trial_succeeds(np.eye(3), np.zeros((5, 3)), x_S, 1e-10)
+        signal = SparseSignal(np.r_[1.0, 2.0, 3.0, np.zeros(5)], np.arange(3))
         G = np.zeros((5, 3))
+        assert _pursue(SensingMatrix(np.hstack([np.eye(3), G.T])), signal)[1]
         G[4, 2] = 5.0  # beats the first on-support correlation, 3
-        assert not reduced_trial_succeeds(np.eye(3), G, x_S, 1e-10)
-
-    def test_non_positive_diagonal_raises(self):
-        R = np.eye(4)
-        R[2, 2] = 0.0
-        with pytest.raises(DegenerateColumnError) as info:
-            reduced_trial_succeeds(R, np.zeros((3, 4)), np.ones(4), 1e-10)
-        assert (info.value.iteration, info.value.index) == (3, 2)
+        assert not _pursue(SensingMatrix(np.hstack([np.eye(3), G.T])), signal)[1]
 
     def test_validation(self):
         for m, n, K in ((10, 64, 10), (10, 64, 0), (40, 8, 8)):
@@ -212,19 +227,23 @@ class TestReducedTrial:
                 sample_reduced_trial(m, n, K, SignalCase.flat(), StreamKey(0))
 
     def test_pathwise_equal_to_dense(self):
-        # The decision on (R, G, x_S) built from a dense instance must be
-        # exactly run_trial's outcome on that instance.
+        # OMP on B = Q^T A[:, perm] must pick the dense pursuit's columns
+        # up to and including its first off-support pick, and decide alike.
         outcomes = []
         for m in EQ_M:
             for case in ALL_CASES:
                 for t in range(20):
-                    key = StreamKey(2024, t)
-                    dense = run_trial(m, EQ_N, EQ_K, case, key)
-                    reduced = reduced_trial_succeeds(
-                        *_dense_reduction(m, EQ_N, EQ_K, case, key), 1e-10
-                    )
-                    assert reduced == dense, (m, case.label(), t)
-                    outcomes.append(dense)
+                    A, signal = _dense_instance(m, EQ_N, EQ_K, case, StreamKey(2024, t))
+                    dense, decision = _pursue(SensingMatrix(A), signal)
+                    B, reduced_signal, perm = _dense_reduction(A, signal)
+                    reduced, reduced_decision = _pursue(B, reduced_signal)
+                    off = ~np.isin(dense.selected, signal.support)
+                    prefix = int(np.argmax(off)) + 1 if off.any() else EQ_K
+                    assert np.array_equal(
+                        perm[reduced.selected][:prefix], dense.selected[:prefix]
+                    ), (m, case.label(), t)
+                    assert reduced_decision == decision, (m, case.label(), t)
+                    outcomes.append(decision)
         assert len(outcomes) >= 500
         assert set(outcomes) == {True, False}
 
@@ -239,10 +258,7 @@ class TestReducedTrial:
         rates = []
         for m, case in points:
             reduced = sum(
-                reduced_trial_succeeds(
-                    *sample_reduced_trial(m, EQ_N, EQ_K, case, StreamKey(31, t)),
-                    1e-10,
-                )
+                _pursue(*sample_reduced_trial(m, EQ_N, EQ_K, case, StreamKey(31, t)))[1]
                 for t in range(trials)
             )
             dense = sum(
@@ -390,21 +406,18 @@ class TestRunExperiment:
             run_experiment(_small_config(trials=1), workers=0)
 
 
-def degenerate_sampler(monkeypatch):
-    """Make every sampled trial's R singular in its first column."""
-    sample = montecarlo.sample_reduced_trial
+def degenerate_pursuit(monkeypatch):
+    """Make every trial's pursuit fail on a dependent first column."""
 
     def degenerate(*args):
-        R, G, x_S = sample(*args)
-        R[0, 0] = 0.0
-        return R, G, x_S
+        raise DegenerateColumnError(1, 0)
 
-    monkeypatch.setattr(montecarlo, "sample_reduced_trial", degenerate)
+    monkeypatch.setattr(montecarlo, "run_omp", degenerate)
 
 
 class TestTrialError:
     def test_wraps_solver_failure_with_location(self, monkeypatch):
-        degenerate_sampler(monkeypatch)
+        degenerate_pursuit(monkeypatch)
         with pytest.raises(TrialError) as info:
             montecarlo._count_successes(
                 10, 20, 2, SignalCase.flat(), 0, 5, 3, 1e-10
@@ -417,7 +430,7 @@ class TestTrialError:
     def test_crosses_the_process_pool(self, monkeypatch):
         # workers inherit the patched module; the parent must get the
         # TrialError of the first chunk, with its location intact
-        degenerate_sampler(monkeypatch)
+        degenerate_pursuit(monkeypatch)
         with pytest.raises(TrialError) as info:
             run_experiment(_small_config(), workers=2)
         err = info.value
