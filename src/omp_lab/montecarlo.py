@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import functools
 import math
-import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Tuple
@@ -67,12 +66,7 @@ from typing import Callable, Iterator, Optional, Tuple
 import numpy as np
 
 from . import bounds
-from .omp import (
-    DEFAULT_RECOVERY_TOL,
-    DegenerateColumnError,
-    check_exact_recovery,
-    run_omp,
-)
+from .omp import DegenerateColumnError, check_exact_recovery, run_omp
 from .phi import PhiFunction
 from .signals import (
     Purpose,
@@ -100,6 +94,10 @@ __all__ = [
 
 # Name of the trial sampler run_experiment uses, recorded in results.json.
 SAMPLER = "reduced-bartlett"
+
+# Two-sided 95% normal quantile, statistics.NormalDist().inv_cdf(0.975);
+# the level of every Wilson interval.
+_Z95 = 1.9599639845400536
 
 # Largest m accepted by run_trial; keeps a typo'd config from trying to
 # allocate a multi-gigabyte matrix.
@@ -142,7 +140,6 @@ class ExperimentConfig:
     cases: Tuple[SignalCase, ...]
     trials: int
     master_seed: int
-    recovery_tolerance: float = DEFAULT_RECOVERY_TOL
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "m_values", tuple(int(m) for m in self.m_values))
@@ -170,8 +167,6 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must fit in 64 bits")
-        if not 0.0 < self.recovery_tolerance < 1.0:
-            raise ValueError("recovery_tolerance must be in (0, 1)")
 
     def grid_points(self) -> Iterator[Tuple[SignalCase, int, int]]:
         """Yield (case, K, m) in deterministic sweep order."""
@@ -179,10 +174,6 @@ class ExperimentConfig:
             for K in self.k_values:
                 for m in self.m_values:
                     yield case, K, m
-
-    @property
-    def point_count(self) -> int:
-        return len(self.cases) * len(self.k_values) * len(self.m_values)
 
 
 def phi_for_case(case: SignalCase) -> PhiFunction:
@@ -206,7 +197,6 @@ def run_trial(
     K: int,
     case: SignalCase,
     key: StreamKey,
-    tolerance: float = DEFAULT_RECOVERY_TOL,
     matrix: Optional[SensingMatrix] = None,
 ) -> bool:
     """One dense recovery trial; True iff the pursuit reproduces the signal.
@@ -234,7 +224,7 @@ def run_trial(
     signal = generate_signal(n, support, case, key.with_purpose(Purpose.SIGNAL))
     y = matrix.entries @ signal.values
     result = run_omp(matrix, y, K)
-    return check_exact_recovery(result, signal, tolerance)
+    return check_exact_recovery(result, signal)
 
 
 def sample_reduced_trial(
@@ -276,7 +266,6 @@ def _count_successes(
     master_seed: int,
     first_trial: int,
     count: int,
-    tolerance: float,
 ) -> int:
     """Run ``count`` consecutive keyed reduced trials; return the tally.
 
@@ -291,7 +280,7 @@ def _count_successes(
             result = run_omp(matrix, matrix.entries @ signal.values, K)
         except DegenerateColumnError as err:
             raise TrialError(m, K, case, t, err) from err
-        hits += check_exact_recovery(result, signal, tolerance)
+        hits += check_exact_recovery(result, signal)
     return hits
 
 
@@ -316,8 +305,8 @@ class PointResult:
     def probability(self) -> float:
         return self.successes / self.trials
 
-    def confidence_interval(self, confidence: float = 0.95) -> Tuple[float, float]:
-        return wilson_interval(self.successes, self.trials, confidence)
+    def confidence_interval(self) -> Tuple[float, float]:
+        return wilson_interval(self.successes, self.trials)
 
 
 @dataclass(frozen=True)
@@ -328,10 +317,8 @@ class ExperimentResult:
     points: Tuple[PointResult, ...]
 
 
-def wilson_interval(
-    successes: int, trials: int, confidence: float = 0.95
-) -> Tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(successes: int, trials: int) -> Tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion.
 
     Stays inside [0, 1] and keeps sensible width at proportions of 0 or
     1, where the normal-approximation interval collapses.  At those
@@ -342,9 +329,7 @@ def wilson_interval(
         raise ValueError("trials must be >= 1")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
-    z = statistics.NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    z = _Z95
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2.0 * trials)) / denom
@@ -395,7 +380,7 @@ def run_experiment(
     chunks = list(_chunk_ranges(config.trials, workers))
     tasks = [
         (m, config.n, K, case, config.master_seed,
-         g * config.trials + start, count, config.recovery_tolerance)
+         g * config.trials + start, count)
         for g, (case, K, m) in enumerate(grid)
         for start, count in chunks
     ]

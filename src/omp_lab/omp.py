@@ -19,14 +19,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .signals import SensingMatrix, SparseSignal
 
 __all__ = [
-    "DEFAULT_RECOVERY_TOL",
+    "RECOVERY_TOL",
     "DegenerateColumnError",
     "InstanceTooLargeError",
     "OmpResult",
@@ -45,7 +45,7 @@ _RELATIVE_STOP = 1e-12
 _DEGENERATE_TOL = 1e-12
 
 # Largest l2 distance from the truth that still counts as exact recovery.
-DEFAULT_RECOVERY_TOL = 1e-10
+RECOVERY_TOL = 1e-10
 
 # Ceiling on the number of candidate supports the exhaustive search will
 # enumerate before refusing.
@@ -107,10 +107,6 @@ class IncrementalLeastSquares:
         self._q = np.empty((m, capacity))
         self._r = np.zeros((capacity, capacity))
         self._k = 0
-
-    @property
-    def size(self) -> int:
-        return self._k
 
     def append(self, column: np.ndarray) -> float:
         """Orthogonalize ``column`` against the span and extend the basis.
@@ -235,14 +231,10 @@ def run_omp(
     )
 
 
-def check_exact_recovery(
-    result: OmpResult,
-    truth: SparseSignal,
-    tolerance: float = DEFAULT_RECOVERY_TOL,
-) -> bool:
+def check_exact_recovery(result: OmpResult, truth: SparseSignal) -> bool:
     """Did the pursuit reproduce ``truth``?  True iff the coefficient
-    vector is within ``tolerance`` of it in the l2 norm."""
-    return float(np.linalg.norm(result.coefficients - truth.values)) <= tolerance
+    vector is within ``RECOVERY_TOL`` of it in the l2 norm."""
+    return float(np.linalg.norm(result.coefficients - truth.values)) <= RECOVERY_TOL
 
 
 def brute_force_best_support(

@@ -19,6 +19,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from ._version import __version__
 from .bounds import BoundResult
 from .montecarlo import SAMPLER, ExperimentResult
+from .omp import RECOVERY_TOL
 from .phi import PhiFunction, PhiValidationReport
 
 __all__ = [
@@ -81,6 +82,10 @@ def atomic_write_text(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp_path, 0o666 & ~umask)
         os.replace(tmp_path, path)
     except BaseException:
         try:
@@ -132,7 +137,7 @@ def experiment_json(result: ExperimentResult) -> str:
                 "cases": [_case_dict(c) for c in config.cases],
                 "trials": config.trials,
                 "master_seed": config.master_seed,
-                "recovery_tolerance": config.recovery_tolerance,
+                "recovery_tolerance": RECOVERY_TOL,
                 "sampler": SAMPLER,
             },
             "points": _experiment_table(result).records(),

@@ -29,8 +29,8 @@ Three variants are provided:
         phi(t) = 24         for 25 <= t <= 29
         phi(t) = 0.8 t      for t >= 30
 
-Empirical validation draws Gaussian vectors and reports, per size, how
-often the condition holds.
+Empirical validation draws standard normal vectors and reports, per
+size, how often the condition holds with no slack.
 """
 
 from __future__ import annotations
@@ -117,13 +117,6 @@ class PhiFunction:
         t_max = _check_size(t_max)
         return np.array([self(t) for t in range(1, t_max + 1)])
 
-    def limit(self) -> float:
-        """Supremum over all sizes (inf for the unbounded variants)."""
-        if self.variant == "decay":
-            assert self.alpha is not None
-            return (self.alpha + 1.0) / (self.alpha - 1.0)
-        return np.inf
-
     def label(self) -> str:
         if self.variant == "cs":
             return "cs"
@@ -154,16 +147,14 @@ def vector_disparity_ratio(values: Sequence[float]) -> float:
 class PhiValidationReport:
     """Per-size outcome of an empirical disparity-condition check.
 
-    ``sizes[i]`` Gaussian vectors of that length were drawn ``trials``
-    times; ``successes[i]`` of them satisfied
-    ``ratio <= phi(size) * (1 + slack)``.
+    ``trials`` standard normal vectors of length ``sizes[i]`` were
+    drawn; ``successes[i]`` of them satisfied ``ratio <= phi(size)``.
     """
 
     phi: PhiFunction
     sizes: np.ndarray
     trials: int
     successes: np.ndarray
-    slack: float
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -182,36 +173,27 @@ def validate_phi_empirical(
     t_max: int,
     trials: int,
     key: StreamKey,
-    slack: float = 0.0,
-    sigma: float = 1.0,
 ) -> PhiValidationReport:
     """Estimate how often Gaussian vectors satisfy the disparity condition.
 
     For each size ``t`` in ``1..t_max``, draws ``trials`` i.i.d.
-    normal(0, sigma^2) vectors of length ``t`` and counts those with
-    ``||v||_1^2 / ||v||_2^2 <= phi(t) * (1 + slack)``.  Each size has its
-    own substream derived from ``key``, so the per-size counts do not
-    depend on ``t_max`` and reruns reproduce byte-identical counts.
+    normal(0, 1) vectors of length ``t`` and counts those with
+    ``||v||_1^2 / ||v||_2^2 <= phi(t)``, with no slack; the ratio is
+    scale-free, so any sigma would give the same counts.  Each size has
+    its own substream derived from ``key``, so the per-size counts do
+    not depend on ``t_max`` and reruns reproduce byte-identical counts.
     """
     t_max = _check_size(t_max)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if slack < 0.0:
-        raise ValueError("slack must be >= 0")
     base = key.with_purpose(Purpose.PHI_VALIDATION)
     sizes = np.arange(1, t_max + 1)
     successes = np.zeros(t_max, dtype=np.int64)
     for i, t in enumerate(sizes):
         stream = base.generator(int(t))
-        draws = sigma * stream.standard_normal((trials, int(t)))
+        draws = stream.standard_normal((trials, int(t)))
         l1 = np.abs(draws).sum(axis=1)
         sq = np.einsum("ij,ij->i", draws, draws)
         ratios = l1 * l1 / sq
-        successes[i] = int(np.count_nonzero(ratios <= phi(int(t)) * (1.0 + slack)))
-    return PhiValidationReport(
-        phi=phi,
-        sizes=sizes,
-        trials=trials,
-        successes=successes,
-        slack=slack,
-    )
+        successes[i] = int(np.count_nonzero(ratios <= phi(int(t))))
+    return PhiValidationReport(phi=phi, sizes=sizes, trials=trials, successes=successes)

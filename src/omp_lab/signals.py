@@ -151,7 +151,7 @@ class SignalCase:
 class SparseSignal:
     """Dense length-``n`` vector that is nonzero exactly on ``support``.
 
-    ``support`` is kept sorted ascending; ``sparsity`` is its size.
+    ``support`` is kept sorted ascending.
     """
 
     values: np.ndarray
@@ -178,14 +178,6 @@ class SparseSignal:
         support.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "support", support)
-
-    @property
-    def length(self) -> int:
-        return self.values.size
-
-    @property
-    def sparsity(self) -> int:
-        return self.support.size
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,10 +10,10 @@ deterministic for identical input.
 
 from __future__ import annotations
 
+import html
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -135,7 +135,8 @@ def line_plot(
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
         f'<text x="{_fmt(_WIDTH / 2)}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="15">'
+        f"{html.escape(title, quote=False)}</text>",
     ]
 
     # Tick marks, grid lines and numeric labels.
@@ -175,13 +176,13 @@ def line_plot(
     parts.append(
         f'<text x="{_fmt(_MARGIN_LEFT + plot_w / 2)}" y="{_fmt(_HEIGHT - 14)}" '
         f'text-anchor="middle" font-family="sans-serif" font-size="13">'
-        f"{escape(x_label)}</text>"
+        f"{html.escape(x_label, quote=False)}</text>"
     )
     parts.append(
         f'<text x="18" y="{_fmt(_MARGIN_TOP + plot_h / 2)}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
         f'transform="rotate(-90 18 {_fmt(_MARGIN_TOP + plot_h / 2)})">'
-        f"{escape(y_label)}</text>"
+        f"{html.escape(y_label, quote=False)}</text>"
     )
 
     # The data: exactly one polyline per series, even when a series has
@@ -207,7 +208,8 @@ def line_plot(
         )
         parts.append(
             f'<text x="{_fmt(legend_x + 22)}" y="{_fmt(y0 + 5)}" '
-            f'font-family="sans-serif" font-size="11">{escape(s.label)}</text>'
+            f'font-family="sans-serif" font-size="11">'
+            f"{html.escape(s.label, quote=False)}</text>"
         )
 
     parts.append("</svg>")

@@ -349,11 +349,16 @@ class TestTopLevel:
     def test_bad_flag_value(self):
         assert main(["bound", "--m", "zero", "--K", "3"]) == EXIT_USAGE
 
-    def test_import_loads_no_scipy(self):
-        # numpy is the only runtime dependency; scipy is a test extra.
+    def test_import_loads_no_scipy_or_unused_stdlib(self):
+        # numpy is the only runtime dependency; scipy is a test extra.  Nor
+        # does the CLI pull in the stdlib's XML, network or statistics stacks.
+        forbidden = (
+            "scipy", "xml.sax", "urllib.request", "http", "ssl", "email", "statistics"
+        )
         code = (
             "import json, sys, omp_lab.cli; print(json.dumps(sorted("
-            "m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))"
+            "m for m in sys.modules if any(m == p or m.startswith(p + '.') "
+            f"for p in {forbidden!r}))))"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         env = dict(os.environ, PYTHONPATH=src)

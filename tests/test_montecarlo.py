@@ -1,6 +1,7 @@
 """Experiment engine: config validation, keyed trials, aggregation."""
 
 import math
+import statistics
 
 import mpmath as mp
 import numpy as np
@@ -59,7 +60,6 @@ def _small_config(**overrides):
 class TestExperimentConfig:
     def test_valid_roundtrip(self):
         config = _small_config()
-        assert config.point_count == 4
         assert [p[1:] for p in config.grid_points()] == [
             (3, 24), (3, 40), (3, 24), (3, 40)
         ]
@@ -78,7 +78,6 @@ class TestExperimentConfig:
             dict(cases=()),
             dict(master_seed=-1),
             dict(master_seed=2**64),
-            dict(recovery_tolerance=0.0),
         ],
     )
     def test_rejects_bad_configs(self, overrides):
@@ -167,7 +166,7 @@ def _dense_reduction(A, signal):
 
 def _pursue(matrix, signal):
     """OMP result and decision of one trial, as ``_count_successes`` runs it."""
-    result = run_omp(matrix, matrix.entries @ signal.values, signal.sparsity)
+    result = run_omp(matrix, matrix.entries @ signal.values, signal.support.size)
     return result, check_exact_recovery(result, signal)
 
 
@@ -176,7 +175,7 @@ class TestReducedTrial:
         key = StreamKey(3, 11)
         matrix, signal = sample_reduced_trial(40, 64, 5, SignalCase.flat(), key)
         B = matrix.entries
-        assert B.shape == (5, 64) and signal.length == 64
+        assert B.shape == (5, 64) and signal.values.size == 64
         assert np.array_equal(signal.support, np.arange(5))
         R = B[:, :5]
         assert np.all(np.tril(R, -1) == 0.0) and np.all(np.diagonal(R) > 0.0)
@@ -305,8 +304,9 @@ class TestWilsonInterval:
             wilson_interval(3, 0)
         with pytest.raises(ValueError):
             wilson_interval(5, 3)
-        with pytest.raises(ValueError):
-            wilson_interval(1, 2, confidence=1.0)
+
+    def test_level_is_95_percent(self):
+        assert montecarlo._Z95 == statistics.NormalDist().inv_cdf(0.975)
 
 
 class TestPointResult:
@@ -419,9 +419,7 @@ class TestTrialError:
     def test_wraps_solver_failure_with_location(self, monkeypatch):
         degenerate_pursuit(monkeypatch)
         with pytest.raises(TrialError) as info:
-            montecarlo._count_successes(
-                10, 20, 2, SignalCase.flat(), 0, 5, 3, 1e-10
-            )
+            montecarlo._count_successes(10, 20, 2, SignalCase.flat(), 0, 5, 3)
         err = info.value
         assert (err.m, err.K, err.trial_index) == (10, 2, 5)
         assert err.case == SignalCase.flat()

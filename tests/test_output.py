@@ -46,6 +46,16 @@ class TestAtomicWrite:
         # no stray temp files
         assert os.listdir(tmp_path) == ["out.txt"]
 
+    def test_mode_follows_umask(self, tmp_path):
+        # the same mode as a file made by open(path, "w"), not mkstemp's 0600
+        target = tmp_path / "out.txt"
+        old = os.umask(0o022)
+        try:
+            output.atomic_write_text(str(target), "text\n")
+        finally:
+            os.umask(old)
+        assert target.stat().st_mode & 0o777 == 0o644
+
 
 class TestExperimentSerialization:
     def test_csv_schema_and_values(self):

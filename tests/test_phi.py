@@ -27,9 +27,6 @@ class TestCauchySchwarz:
         phi = PhiFunction.cauchy_schwarz()
         assert [phi(t) for t in (1, 7, 50)] == [1.0, 7.0, 50.0]
 
-    def test_limit_unbounded(self):
-        assert PhiFunction.cauchy_schwarz().limit() == np.inf
-
 
 class TestStronglyDecaying:
     @pytest.mark.parametrize("alpha,t,expected", _DECAY_ORACLE)
@@ -55,11 +52,10 @@ class TestStronglyDecaying:
     def test_increasing_in_t_toward_limit(self, alpha, t):
         phi = PhiFunction.strongly_decaying(alpha)
         assert phi(t) < phi(t + 1) + 1e-12
-        assert phi(t) < phi.limit() + 1e-12
+        assert phi(t) < (alpha + 1.0) / (alpha - 1.0) + 1e-12
 
     def test_limit_value(self):
-        assert PhiFunction.strongly_decaying(2.0).limit() == 3.0
-        # huge t must not overflow and must sit at the limit
+        # huge t must not overflow and must sit at the limit (a+1)/(a-1) = 3
         assert PhiFunction.strongly_decaying(2.0)(10_000) == pytest.approx(3.0)
 
     @given(st.floats(1.01, 2.0), st.floats(0.001, 1.0), st.integers(2, 60))
@@ -209,5 +205,3 @@ class TestValidatePhiEmpirical:
             validate_phi_empirical(phi, 0, 10, StreamKey(0))
         with pytest.raises(ValueError):
             validate_phi_empirical(phi, 5, 0, StreamKey(0))
-        with pytest.raises(ValueError):
-            validate_phi_empirical(phi, 5, 10, StreamKey(0), slack=-0.1)

@@ -87,7 +87,7 @@ class TestSignalCase:
 class TestSparseSignal:
     def test_valid(self):
         s = SparseSignal(values=np.array([0.0, 2.0, 0.0, -1.0]), support=np.array([1, 3]))
-        assert s.length == 4 and s.sparsity == 2
+        assert s.values.size == 4 and s.support.size == 2
         assert not s.values.flags.writeable
 
     def test_rejects_value_off_support(self):
