@@ -70,15 +70,31 @@ def log1mexp(a: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     """
     arr = np.asarray(a, dtype=float)
     scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
     if np.any(arr < 0.0):
         raise ValueError("log1mexp requires a >= 0")
-    out = np.empty_like(arr)
-    small = arr < _LN2
-    with np.errstate(divide="ignore"):
-        out[small] = np.log(-np.expm1(-arr[small]))
-    out[~small] = np.log1p(-np.exp(-arr[~small]))
+    out = _log1mexp_of_negated(np.negative(np.atleast_1d(arr)))
     return float(out[0]) if scalar else out
+
+
+def _log1mexp_of_negated(x: np.ndarray) -> np.ndarray:
+    """In place, ``x <- log1mexp(-x)`` where ``x < 0`` and ``-inf`` where
+    ``x >= 0``; returns ``x``.
+
+    Each element gets exactly the ufuncs of :func:`log1mexp`'s branch
+    for ``a = -x``, through ``where=`` masks instead of gathers, so the
+    doubles are the same.  ``a = 0`` is ``-inf`` either way.
+    """
+    small = x > -_LN2
+    large = ~small
+    nonneg = x >= 0.0
+    small ^= nonneg
+    np.expm1(x, out=x, where=small)
+    np.exp(x, out=x, where=large)
+    np.negative(x, out=x)
+    np.log(x, out=x, where=small)
+    np.log1p(x, out=x, where=large)
+    np.copyto(x, -np.inf, where=nonneg)
+    return x
 
 
 @dataclass(frozen=True)
@@ -147,20 +163,20 @@ def log_disparity_bound_at(
     if np.any(ok):
         e = eps_arr[ok]
         h = eta[ok]
-        # Rows are k = 1..K, columns the feasible eps.  The per-k constant
-        # goes through math.log and the sum over k runs in k order from
-        # 0.0 (so all -0.0 terms sum to +0.0), which gives every value
-        # the same double as a term-by-term loop.
+        # Rows are k = 1..K, columns the feasible eps, evaluated in one
+        # K-by-eps buffer.  The per-k constant goes through math.log and
+        # the rows are added in k order to +0.0 (so all -0.0 terms sum
+        # to +0.0), which gives every value the same double as a
+        # term-by-term loop.
         phik = phi.values(K)
         log_norm = np.array([0.5 * math.log(math.pi * m / (2.0 * p)) for p in phik])
-        logx = -(0.5 * m * h * h) / phik[:, None] - log_norm[:, None] - np.log(h)
-        below_one = logx < 0.0
-        terms = np.where(
-            below_one,
-            log1mexp(np.where(below_one, -logx, 1.0)),
-            -np.inf,
-        )
-        sum_terms = 0.0 + np.add.accumulate(terms, axis=0)[-1]
+        logx = np.divide(-(0.5 * m * h * h), phik[:, None])
+        logx -= log_norm[:, None]
+        logx -= np.log(h)
+        terms = _log1mexp_of_negated(logx)  # -inf where x_k >= 1
+        sum_terms = np.zeros(h.shape)
+        for row in terms:
+            sum_terms += row
         out[ok] = log1mexp(0.5 * m * e * e) + (n - K) * sum_terms
     return float(out[0]) if scalar else out
 

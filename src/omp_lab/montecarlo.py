@@ -22,11 +22,13 @@ residual lies in span(A_S), so
 So OMP on ``(B, Q^T y)`` picks the same columns as OMP on ``(A, y)``
 through the first off-support pick, and one off-support pick already
 means failure for both: K picks with one off ``S`` leave a nonzero of
-``x`` without a column.  Each trial is therefore decided by
+``x`` without a column.  Each trial is therefore decided as
 :func:`~omp_lab.omp.run_omp` on ``B`` and
-:func:`~omp_lab.omp.check_exact_recovery`, the same solver and check
-as the dense trial.  The columns of ``A`` are exchangeable, so the
-support is laid on columns ``0..K-1`` of ``B``.
+:func:`~omp_lab.omp.check_exact_recovery` decide it, the same solver
+and check as the dense trial; :func:`~omp_lab.omp.recovers_stack`
+applies their rules to a whole stack of trials at once.  The columns of
+``A`` are exchangeable, so the support is laid on columns ``0..K-1`` of
+``B``.
 
 Why sampling ``(R, G)`` directly is exact:
 
@@ -45,14 +47,20 @@ instead of ``m n`` normals, and runs in ``O(n K^2)`` instead of
 event of probability zero, can be broken differently than in the dense
 pursuit.  The dense :func:`run_trial` stays as the reference that the
 tests compare with, pathwise (OMP on ``B`` built from a dense ``A``
-decides as ``run_trial`` does on that ``A``) and in distribution
-(tallies agree).
+decides as ``run_trial`` does on that ``A``, and the stacked pursuit
+decides each ``B`` as ``run_omp`` does) and in distribution (tallies
+agree).
 
 Determinism is structural: trial ``t`` of grid point ``g`` always uses
 ``StreamKey(master_seed, g * trials + t)``, so the tally is a pure
-function of the config no matter how trials are scheduled.  Success
-counts are summed, which is associative and commutative, so splitting
-trials across processes cannot change any result.
+function of the config no matter how trials are scheduled.  A task is
+one stack of at most ``max(1, 2 MiB // (8 K n))`` consecutive trials of
+one point (8 at K = 30, n = 1024), fixed by K and n alone, so the task
+list is the same for every worker count.  The stacked pursuit keeps its
+rows apart, so a trial's decision does not depend on the other rows of
+its stack either.  Success counts are summed, which is associative and
+commutative, so spreading the tasks across processes cannot change any
+result.
 """
 
 from __future__ import annotations
@@ -66,7 +74,7 @@ from typing import Callable, Iterator, Optional, Tuple
 import numpy as np
 
 from . import bounds
-from .omp import DegenerateColumnError, check_exact_recovery, run_omp
+from .omp import DegenerateColumnError, check_exact_recovery, recovers_stack, run_omp
 from .phi import PhiFunction
 from .signals import (
     Purpose,
@@ -98,6 +106,9 @@ SAMPLER = "reduced-bartlett"
 # Two-sided 95% normal quantile, statistics.NormalDist().inv_cdf(0.975);
 # the level of every Wilson interval.
 _Z95 = 1.9599639845400536
+
+# Byte budget of one task's stack of K-by-n trial matrices.
+_STACK_BYTES = 2 * 1024 * 1024
 
 # Largest m accepted by run_trial; keeps a typo'd config from trying to
 # allocate a multi-gigabyte matrix.
@@ -232,7 +243,9 @@ def sample_reduced_trial(
 ) -> Tuple[SensingMatrix, SparseSignal]:
     """Draw the K-by-n matrix ``B = [R | G^T]`` and the signal of one trial.
 
-    See the module docstring.  From the ``Purpose.MATRIX`` stream of
+    The one-trial view of the stack that :func:`run_experiment` decides:
+    row 0 of :func:`_sample_stack` for trial ``key.trial_index``.  See
+    the module docstring.  From the ``Purpose.MATRIX`` stream of
     ``key``, in this order: the strictly upper part of the K-by-K
     Bartlett factor ``R`` (N(0, 1/m)), its diagonal
     ``sqrt(chi2_{m-i} / m)`` for ``i = 0..K-1``, and the (n-K)-by-K
@@ -246,16 +259,46 @@ def sample_reduced_trial(
     ValueError
         If ``K`` is not in ``[1, min(m, n))``.
     """
+    stack, truths = _sample_stack(m, n, K, case, key.master_seed, key.trial_index, 1)
+    return SensingMatrix(stack[0]), SparseSignal(truths[0], np.arange(K))
+
+
+def _stack_size(n: int, K: int) -> int:
+    """Trials per task: as many K-by-n float64 matrices as fit the budget."""
+    return max(1, _STACK_BYTES // (8 * K * n))
+
+
+def _sample_stack(
+    m: int,
+    n: int,
+    K: int,
+    case: SignalCase,
+    master_seed: int,
+    first_trial: int,
+    count: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Draw ``count`` consecutive keyed reduced trials.
+
+    Returns the ``(count, K, n)`` stack of matrices ``B`` and the
+    ``(count, n)`` signal values; row ``s`` is trial ``first_trial + s``,
+    drawn as :func:`sample_reduced_trial` describes.
+    """
     if not 1 <= K < min(m, n):
         raise ValueError(f"need 1 <= K < min(m, n), got K={K}, m={m}, n={n}")
-    stream = key.with_purpose(Purpose.MATRIX).generator()
     scale = 1.0 / math.sqrt(m)
-    B = np.empty((K, n))
-    B[:, :K] = np.triu(stream.standard_normal((K, K)), 1) * scale
-    B[np.diag_indices(K)] = np.sqrt(stream.chisquare(m - np.arange(K)) / m)
-    B[:, K:] = (stream.standard_normal((n - K, K)) * scale).T
-    signal = generate_signal(n, np.arange(K), case, key.with_purpose(Purpose.SIGNAL))
-    return SensingMatrix(B), signal
+    support = np.arange(K)
+    stack = np.empty((count, K, n))
+    truths = np.empty((count, n))
+    for s, B in enumerate(stack):
+        key = StreamKey(master_seed, trial_index=first_trial + s)
+        stream = key.with_purpose(Purpose.MATRIX).generator()
+        B[:, :K] = np.triu(stream.standard_normal((K, K)), 1) * scale
+        B[support, support] = np.sqrt(stream.chisquare(m - support) / m)
+        B[:, K:] = (stream.standard_normal((n - K, K)) * scale).T
+        truths[s] = generate_signal(
+            n, support, case, key.with_purpose(Purpose.SIGNAL)
+        ).values
+    return stack, truths
 
 
 def _count_successes(
@@ -267,21 +310,17 @@ def _count_successes(
     first_trial: int,
     count: int,
 ) -> int:
-    """Run ``count`` consecutive keyed reduced trials; return the tally.
+    """Decide ``count`` consecutive keyed reduced trials as one stack;
+    return the tally.
 
     Top-level so process pools can pickle it.
     """
-    hits = 0
-    for t in range(first_trial, first_trial + count):
-        matrix, signal = sample_reduced_trial(
-            m, n, K, case, StreamKey(master_seed, trial_index=t)
-        )
-        try:
-            result = run_omp(matrix, matrix.entries @ signal.values, K)
-        except DegenerateColumnError as err:
-            raise TrialError(m, K, case, t, err) from err
-        hits += check_exact_recovery(result, signal)
-    return hits
+    stack, truths = _sample_stack(m, n, K, case, master_seed, first_trial, count)
+    try:
+        recovered = recovers_stack(stack, truths, K)
+    except DegenerateColumnError as err:
+        raise TrialError(m, K, case, first_trial + err.row, err) from err
+    return int(np.count_nonzero(recovered))
 
 
 @dataclass(frozen=True)
@@ -343,17 +382,6 @@ def wilson_interval(successes: int, trials: int) -> Tuple[float, float]:
     return low, high
 
 
-def _chunk_ranges(total: int, chunks: int) -> Iterator[Tuple[int, int]]:
-    """Split ``range(total)`` into ``chunks`` contiguous (start, count) runs."""
-    chunks = max(1, min(chunks, total))
-    base, extra = divmod(total, chunks)
-    start = 0
-    for i in range(chunks):
-        count = base + (1 if i < extra else 0)
-        yield start, count
-        start += count
-
-
 def run_experiment(
     config: ExperimentConfig,
     workers: int = 1,
@@ -362,12 +390,14 @@ def run_experiment(
     """Sweep the config's grid and tally recoveries at every point.
 
     The whole grid is one task queue: each point's trials are split into
-    ``workers`` contiguous chunks, and the chunks of all points are
-    mapped in grid order, in this process when ``workers == 1`` and over
-    a process pool otherwise.  Tallies are reduced in the same order, so
-    the parent attaches each point's bounds and calls ``progress`` with
+    stacks of at most ``_stack_size(n, K)`` consecutive trials, whatever
+    ``workers`` is, and each stack is one task.  The tasks of all points
+    are mapped in grid order, in this process when ``workers == 1`` and
+    over a process pool of ``min(workers, tasks)`` processes otherwise.
+    Tallies are reduced in the same order, so the parent attaches each
+    point's bounds and calls ``progress`` with
     ``(points_done, points_total, result)`` as soon as that point's
-    chunks are in, while the pool works on later points.  Per-trial
+    stacks are in, while the pool works on later points.  Per-trial
     keyed streams make the result identical for every worker count.  A
     failing trial raises its ``TrialError`` here and cancels the tasks
     not yet started.  Each bound is evaluated once per distinct
@@ -377,12 +407,12 @@ def run_experiment(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     grid = list(config.grid_points())
-    chunks = list(_chunk_ranges(config.trials, workers))
+    starts = [range(0, config.trials, _stack_size(config.n, K)) for _, K, _ in grid]
     tasks = [
         (m, config.n, K, case, config.master_seed,
-         g * config.trials + start, count)
-        for g, (case, K, m) in enumerate(grid)
-        for start, count in chunks
+         g * config.trials + start, min(point_starts.step, config.trials - start))
+        for g, ((case, K, m), point_starts) in enumerate(zip(grid, starts))
+        for start in point_starts
     ]
     baseline = functools.cache(
         lambda m, K: bounds.baseline_bound(m, config.n, K).value
@@ -391,17 +421,19 @@ def run_experiment(
         lambda m, K, phi: bounds.disparity_bound(m, config.n, K, phi).value
     )
     points = []
+    # A fork-started pool launches all its processes at the first submit.
+    workers = min(workers, len(tasks))
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         tallies = (map if pool is None else pool.map)(_count_successes, *zip(*tasks))
-        for case, K, m in grid:
+        for (case, K, m), point_starts in zip(grid, starts):
             point = PointResult(
                 m=m,
                 n=config.n,
                 K=K,
                 case=case,
                 trials=config.trials,
-                successes=sum(next(tallies) for _ in chunks),
+                successes=sum(next(tallies) for _ in point_starts),
                 disparity_bound_value=disparity(m, K, phi_for_case(case)),
                 baseline_bound_value=baseline(m, K),
             )

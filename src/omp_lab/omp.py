@@ -12,6 +12,10 @@ Orthonormality of the growing Q is maintained by classical Gram-Schmidt
 with a single re-orthogonalization pass (CGS2), which keeps
 ``||Q^T Q - I||`` at the 1e-15 level in practice; good enough that
 residuals stay numerically orthogonal to every selected column.
+
+:func:`recovers_stack` applies the same rules to a stack of problems at
+once and returns only whether each one was recovered exactly;
+:func:`run_omp` is the single-problem reference it is tested against.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ __all__ = [
     "IncrementalLeastSquares",
     "run_omp",
     "check_exact_recovery",
+    "recovers_stack",
     "brute_force_best_support",
 ]
 
@@ -53,18 +58,23 @@ _BRUTE_FORCE_LIMIT = 1_000_000
 
 
 class DegenerateColumnError(RuntimeError):
-    """Selected column is (numerically) in the span of the previous ones."""
+    """Selected column is (numerically) in the span of the previous ones.
 
-    def __init__(self, iteration: int, index: int) -> None:
+    ``row`` is the stack row whose pursuit hit it (see
+    :func:`recovers_stack`); 0 for a single pursuit.
+    """
+
+    def __init__(self, iteration: int, index: int, row: int = 0) -> None:
         super().__init__(
             f"column {index} selected at iteration {iteration} is linearly "
             "dependent on the columns already chosen"
         )
         self.iteration = iteration
         self.index = index
+        self.row = row
 
     def __reduce__(self):
-        return type(self), (self.iteration, self.index)
+        return type(self), (self.iteration, self.index, self.row)
 
 
 class InstanceTooLargeError(ValueError):
@@ -235,6 +245,82 @@ def check_exact_recovery(result: OmpResult, truth: SparseSignal) -> bool:
     """Did the pursuit reproduce ``truth``?  True iff the coefficient
     vector is within ``RECOVERY_TOL`` of it in the l2 norm."""
     return float(np.linalg.norm(result.coefficients - truth.values)) <= RECOVERY_TOL
+
+
+def recovers_stack(stack: np.ndarray, truths: np.ndarray, sparsity: int) -> np.ndarray:
+    """Does OMP recover each row's signal?  One boolean per stack row.
+
+    Row ``s`` measures ``x = truths[s]`` through ``A = stack[s]`` (an
+    S-by-m-by-n stack, S-by-n truths) and asks what
+    ``check_exact_recovery(run_omp(A, A @ x, sparsity), x)`` asks, by
+    the same rules: the pick is ``argmax_j |<r, A_j>|`` over the columns
+    not yet chosen, the smallest index on exact ties; the pick is
+    appended to a thin QR by CGS2; the coefficients come from
+    ``np.linalg.solve`` on R; and the answer is whether they lie within
+    ``RECOVERY_TOL`` of ``x``.  All rows advance one iteration at a
+    time, so the per-iteration numpy calls are paid once per stack
+    rather than once per row.  There is no early stop: every row runs
+    ``sparsity`` iterations.
+
+    Raises
+    ------
+    ValueError
+        On shape mismatch or ``sparsity`` outside ``[1, min(m, n)]``.
+    DegenerateColumnError
+        If a winning column is dependent on the columns its row already
+        chose; ``row`` is the first such row at the earliest such
+        iteration.
+    """
+    A = np.asarray(stack, dtype=float)
+    X = np.asarray(truths, dtype=float)
+    if A.ndim != 3 or X.shape != (A.shape[0], A.shape[2]):
+        raise ValueError(
+            f"need an S-by-m-by-n stack and S-by-n truths, got {A.shape} and {X.shape}"
+        )
+    S, m, n = A.shape
+    if not 1 <= sparsity <= min(m, n):
+        raise ValueError(
+            f"sparsity must be in [1, min(m, n)] = [1, {min(m, n)}], got {sparsity}"
+        )
+    rows = np.arange(S)
+    y = np.matmul(A, X[:, :, None])  # S x m x 1
+    basis = np.zeros((S, sparsity, m))  # row i of basis[s] is q_i of row s
+    r_factor = np.zeros((S, sparsity, sparsity))
+    selected = np.empty((S, sparsity), dtype=np.intp)
+    residual = y
+    for k in range(sparsity):
+        correlations = np.abs(np.matmul(residual.transpose(0, 2, 1), A)[:, 0])
+        correlations[rows[:, None], selected[:, :k]] = -1.0
+        j = np.argmax(correlations, axis=1)
+        a = A[rows, :, j][:, :, None]
+        q_active = basis[:, :k]
+        q_active_t = q_active.transpose(0, 2, 1)
+        # CGS2, as IncrementalLeastSquares.append does it for one row.
+        coeffs = np.matmul(q_active, a)
+        v = a - np.matmul(q_active_t, coeffs)
+        if k > 0:
+            correction = np.matmul(q_active, v)
+            v -= np.matmul(q_active_t, correction)
+            coeffs += correction
+        norm_v = np.sqrt(np.matmul(v.transpose(0, 2, 1), v)[:, 0, 0])
+        degenerate = norm_v <= _DEGENERATE_TOL * np.sqrt(
+            np.matmul(a.transpose(0, 2, 1), a)[:, 0, 0]
+        )
+        if degenerate.any():
+            s = int(np.argmax(degenerate))
+            raise DegenerateColumnError(iteration=k + 1, index=int(j[s]), row=s)
+        basis[:, k] = v[:, :, 0] / norm_v[:, None]
+        r_factor[:, :k, k] = coeffs[:, :, 0]
+        r_factor[:, k, k] = norm_v
+        selected[:, k] = j
+        q_active = basis[:, : k + 1]
+        residual = y - np.matmul(q_active.transpose(0, 2, 1), np.matmul(q_active, y))
+
+    coefficients = np.zeros((S, n))
+    coefficients[rows[:, None], selected] = np.linalg.solve(
+        r_factor, np.matmul(basis, y)
+    )[:, :, 0]
+    return np.linalg.norm(coefficients - X, axis=1) <= RECOVERY_TOL
 
 
 def brute_force_best_support(

@@ -59,6 +59,24 @@ class TestLog1mexp:
         for i, ai in enumerate(a):
             assert vec[i] == log1mexp(float(ai))
 
+    def test_bit_equal_to_two_branch_formula(self):
+        # the gather-and-scatter rule that the in-place version replaced
+        ln2 = math.log(2.0)
+        a = np.array(
+            [0.0, 5e-324, 1e-300, 1e-16, 1e-9, 0.5, 5.0, 50.0, 700.0, 745.2, 1e300, np.inf]
+            + [ln2 + d * 2.0**-52 for d in range(-4, 5)]
+        )
+        a = np.concatenate([a, np.geomspace(1e-18, 1e3, 4001)])
+        small = a < ln2
+        want = np.empty_like(a)
+        with np.errstate(divide="ignore"):
+            want[small] = np.log(-np.expm1(-a[small]))
+        want[~small] = np.log1p(-np.exp(-a[~small]))
+        got = log1mexp(a)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert [log1mexp(float(v)) for v in a[:21]] == want[:21].tolist()
+
     @given(st.floats(1e-15, 700.0))
     @settings(max_examples=100, deadline=None)
     def test_roundtrip(self, a):

@@ -143,7 +143,7 @@ class TestSimulateCommand:
         def degenerate(*args):
             raise DegenerateColumnError(1, 0)
 
-        monkeypatch.setattr(montecarlo, "run_omp", degenerate)
+        monkeypatch.setattr(montecarlo, "recovers_stack", degenerate)
         args = _sim_args(tmp_path)
         args[args.index("--threads") + 1] = threads
         assert main(args) == EXIT_RUNTIME

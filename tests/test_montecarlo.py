@@ -20,7 +20,12 @@ from omp_lab.montecarlo import (
     sample_reduced_trial,
     wilson_interval,
 )
-from omp_lab.omp import DegenerateColumnError, check_exact_recovery, run_omp
+from omp_lab.omp import (
+    DegenerateColumnError,
+    check_exact_recovery,
+    recovers_stack,
+    run_omp,
+)
 from omp_lab.signals import (
     Purpose,
     SensingMatrix,
@@ -227,10 +232,14 @@ class TestReducedTrial:
 
     def test_pathwise_equal_to_dense(self):
         # OMP on B = Q^T A[:, perm] must pick the dense pursuit's columns
-        # up to and including its first off-support pick, and decide alike.
+        # up to and including its first off-support pick, and decide alike;
+        # and the stacked pursuit over each (m, case)'s 20 matrices B must
+        # decide every row as run_omp on that B does.
         outcomes = []
+        mixed_stacks = 0
         for m in EQ_M:
             for case in ALL_CASES:
+                stack, truths, decisions, first_off = [], [], [], []
                 for t in range(20):
                     A, signal = _dense_instance(m, EQ_N, EQ_K, case, StreamKey(2024, t))
                     dense, decision = _pursue(SensingMatrix(A), signal)
@@ -243,8 +252,33 @@ class TestReducedTrial:
                     ), (m, case.label(), t)
                     assert reduced_decision == decision, (m, case.label(), t)
                     outcomes.append(decision)
+                    stack.append(B.entries)
+                    truths.append(reduced_signal.values)
+                    decisions.append(reduced_decision)
+                    first_off.append(prefix if off.any() else None)
+                stacked = recovers_stack(np.stack(stack), np.stack(truths), EQ_K)
+                assert stacked.tolist() == decisions, (m, case.label())
+                mixed_stacks += any(decisions) and 1 in first_off
         assert len(outcomes) >= 500
         assert set(outcomes) == {True, False}
+        # stacks where a row that fails at its first pick sits beside a success
+        assert mixed_stacks >= 10
+
+    @pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.label())
+    def test_stack_rows_equal_one_trial_sampler(self, case):
+        stack, truths = montecarlo._sample_stack(50, 128, 6, case, 8, 40, 5)
+        assert stack.shape == (5, 6, 128) and truths.shape == (5, 128)
+        for s in range(5):
+            matrix, signal = sample_reduced_trial(50, 128, 6, case, StreamKey(8, 40 + s))
+            assert stack[s].tobytes() == matrix.entries.tobytes()
+            assert truths[s].tobytes() == signal.values.tobytes()
+
+    def test_stack_size_from_byte_budget(self):
+        assert montecarlo._stack_size(1024, 30) == 8
+        assert montecarlo._stack_size(1024, 15) == 17
+        assert montecarlo._stack_size(10**6, 30) == 1
+        for n, K in ((1024, 30), (1024, 15), (64, 3)):
+            assert 8 * K * n * montecarlo._stack_size(n, K) <= 2 * 1024 * 1024
 
     @pytest.mark.slow
     def test_distribution_equal_to_dense(self):
@@ -405,14 +439,72 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(_small_config(trials=1), workers=0)
 
+    @pytest.mark.parametrize(
+        "trials,workers,pool_sizes",
+        [(1, 4, []), (1, 3, []), (40, 3, [3]), (40, 8, [4])],
+    )
+    def test_pool_no_larger_than_task_list(self, monkeypatch, trials, workers, pool_sizes):
+        # one point, whose K=3 stacks hold 10 trials at n=8192: 1 task at
+        # trials=1 and 4 tasks at trials=40
+        made = _inline_pool(monkeypatch)
+        config = _small_config(
+            n=8192, m_values=(24,), cases=(SignalCase.flat(),), trials=trials
+        )
+        run_experiment(config, workers=workers)
+        assert made == pool_sizes
 
-def degenerate_pursuit(monkeypatch):
-    """Make every trial's pursuit fail on a dependent first column."""
+    def test_tasks_and_tallies_independent_of_workers(self, monkeypatch):
+        # K=3 stacks hold 21 trials at n=4096 and K=8 stacks 8, so a
+        # point's 30 trials split into 21 + 9 and 8 + 8 + 8 + 6
+        _inline_pool(monkeypatch)
+        real = montecarlo._count_successes
+        runs = {}
+        for workers in (1, 2, 3):
+            tasks = runs.setdefault(workers, ([], []))[0]
+
+            def recorded(*task, _tasks=tasks):
+                _tasks.append(task)
+                return real(*task)
+
+            monkeypatch.setattr(montecarlo, "_count_successes", recorded)
+            config = _small_config(n=4096, k_values=(3, 8), trials=30)
+            runs[workers][1].extend(
+                p.successes for p in run_experiment(config, workers=workers).points
+            )
+        assert runs[1] == runs[2] == runs[3]
+        tasks = runs[1][0]
+        assert [t[-2:] for t in tasks[:6]] == [
+            (0, 21), (21, 9), (30, 21), (51, 9), (60, 8), (68, 8)
+        ]
+
+
+def _inline_pool(monkeypatch):
+    """Replace the process pool with one that maps in this process and
+    records each pool's ``max_workers``; no process starts."""
+    made = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+    return made
+
+
+def degenerate_pursuit(monkeypatch, row=0):
+    """Make every stack's pursuit fail on a dependent first column in
+    ``row``."""
 
     def degenerate(*args):
-        raise DegenerateColumnError(1, 0)
+        raise DegenerateColumnError(1, 0, row)
 
-    monkeypatch.setattr(montecarlo, "run_omp", degenerate)
+    monkeypatch.setattr(montecarlo, "recovers_stack", degenerate)
 
 
 class TestTrialError:
@@ -425,9 +517,16 @@ class TestTrialError:
         assert err.case == SignalCase.flat()
         assert "trial 5" in str(err)
 
+    def test_names_the_failing_row_of_the_stack(self, monkeypatch):
+        degenerate_pursuit(monkeypatch, row=2)
+        with pytest.raises(TrialError) as info:
+            montecarlo._count_successes(10, 20, 2, SignalCase.flat(), 0, 5, 3)
+        assert info.value.trial_index == 7
+        assert info.value.cause.row == 2
+
     def test_crosses_the_process_pool(self, monkeypatch):
         # workers inherit the patched module; the parent must get the
-        # TrialError of the first chunk, with its location intact
+        # TrialError of the first stack, with its location intact
         degenerate_pursuit(monkeypatch)
         with pytest.raises(TrialError) as info:
             run_experiment(_small_config(), workers=2)

@@ -1,5 +1,7 @@
 """Pursuit solver: selection rule, incremental least squares, oracle."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from omp_lab.omp import (
     OmpResult,
     brute_force_best_support,
     check_exact_recovery,
+    recovers_stack,
     run_omp,
 )
 from omp_lab.signals import (
@@ -226,6 +229,73 @@ class TestCheckExactRecovery:
         assert not check_exact_recovery(self._result(off), truth)
         off[0] = 1e-11
         assert check_exact_recovery(self._result(off), truth)
+
+
+class TestRecoversStack:
+    """The stacked pursuit decides each row as run_omp plus the check do."""
+
+    @staticmethod
+    def _reference(stack, truths, sparsity):
+        return [
+            check_exact_recovery(
+                run_omp(SensingMatrix(A), A @ x, sparsity),
+                SparseSignal(x, np.flatnonzero(x)),
+            )
+            for A, x in zip(stack, truths)
+        ]
+
+    @pytest.mark.parametrize(
+        "case", [SignalCase.flat(), SignalCase.gaussian(1.0)], ids=lambda c: c.label()
+    )
+    def test_matches_run_omp_on_random_instances(self, case):
+        # m=18, K=5: 13 (flat) and 33 (gauss) of the 60 rows recover
+        instances = [_random_instance(seed, 18, 40, 5, case) for seed in range(60)]
+        stack = np.stack([mat.entries for mat, _, _ in instances])
+        truths = np.stack([signal.values for _, signal, _ in instances])
+        want = self._reference(stack, truths, 5)
+        assert recovers_stack(stack, truths, 5).tolist() == want
+        assert 10 <= sum(want) <= 50
+
+    def test_tie_breaks_to_smallest_index(self):
+        # row 0: the tie of test_tie_breaks... picks column 0, which
+        # recovers x = e_0; row 1 puts the truth on column 1 of the tie,
+        # so the pick of column 0 is wrong
+        col = np.array([1.0, 1.0]) / np.sqrt(2)
+        other = np.array([1.0, -1.0]) / np.sqrt(2)
+        A = np.column_stack([col, col, other])
+        stack = np.stack([A, A])
+        truths = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        assert recovers_stack(stack, truths, 1).tolist() == [True, False]
+        assert self._reference(stack, truths, 1) == [True, False]
+
+    def test_degenerate_row_identified(self):
+        # row 1 is test_degenerate_selection_identified's duplicate pair
+        # with x = (1, 1): column 1 first, then its multiple, column 0.
+        # (run_omp stops before that pick, on the zero residual; the
+        # stacked pursuit has no early stop.)
+        a = np.array([1.0, 0.0, 0.0])
+        healthy = np.column_stack([a, [0.0, 1.0, 0.0]])
+        stack = np.stack([healthy, np.column_stack([a, 2.0 * a]), healthy])
+        truths = np.ones((3, 2))
+        with pytest.raises(DegenerateColumnError) as info:
+            recovers_stack(stack, truths, 2)
+        assert (info.value.iteration, info.value.index, info.value.row) == (2, 0, 1)
+
+    def test_error_pickles_with_its_row(self):
+        err = pickle.loads(pickle.dumps(DegenerateColumnError(3, 17, 5)))
+        assert (err.iteration, err.index, err.row) == (3, 17, 5)
+        assert str(err) == str(DegenerateColumnError(3, 17))
+
+    def test_shape_validation(self):
+        stack = np.zeros((2, 4, 6))
+        with pytest.raises(ValueError):
+            recovers_stack(stack[0], np.zeros((2, 6)), 2)
+        with pytest.raises(ValueError):
+            recovers_stack(stack, np.zeros((2, 4)), 2)
+        with pytest.raises(ValueError):
+            recovers_stack(stack, np.zeros((2, 6)), 0)
+        with pytest.raises(ValueError):
+            recovers_stack(stack, np.zeros((2, 6)), 5)
 
 
 class TestBruteForce:
