@@ -60,6 +60,10 @@ _GRID_ROUNDS = 3
 
 _LN2 = math.log(2.0)
 
+# The objectives are evaluated over at most this many eps at a time, so a
+# dense grid needs a K-by-chunk buffer, not a K-by-grid one.
+_EPS_CHUNK = 65536
+
 
 def log1mexp(a: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     """``log(1 - exp(-a))`` for ``a >= 0``, accurate at both extremes.
@@ -95,6 +99,19 @@ def _log1mexp_of_negated(x: np.ndarray) -> np.ndarray:
     np.log1p(x, out=x, where=large)
     np.copyto(x, -np.inf, where=nonneg)
     return x
+
+
+def _by_chunks(
+    f: Callable[..., np.ndarray], *arrays: np.ndarray
+) -> np.ndarray:
+    """``f`` of the arrays, applied to ``_EPS_CHUNK``-long slices of them
+    in turn; elementwise ``f`` gives the same doubles as one call."""
+    return np.concatenate(
+        [
+            f(*(a[lo : lo + _EPS_CHUNK] for a in arrays))
+            for lo in range(0, arrays[0].size, _EPS_CHUNK)
+        ]
+    )
 
 
 @dataclass(frozen=True)
@@ -161,23 +178,25 @@ def log_disparity_bound_at(
     eta = 1.0 - math.sqrt(K / m) - eps_arr
     ok = (eps_arr > 0.0) & (eta > 0.0)
     if np.any(ok):
-        e = eps_arr[ok]
-        h = eta[ok]
-        # Rows are k = 1..K, columns the feasible eps, evaluated in one
-        # K-by-eps buffer.  The per-k constant goes through math.log and
-        # the rows are added in k order to +0.0 (so all -0.0 terms sum
-        # to +0.0), which gives every value the same double as a
-        # term-by-term loop.
         phik = phi.values(K)
         log_norm = np.array([0.5 * math.log(math.pi * m / (2.0 * p)) for p in phik])
-        logx = np.divide(-(0.5 * m * h * h), phik[:, None])
-        logx -= log_norm[:, None]
-        logx -= np.log(h)
-        terms = _log1mexp_of_negated(logx)  # -inf where x_k >= 1
-        sum_terms = np.zeros(h.shape)
-        for row in terms:
-            sum_terms += row
-        out[ok] = log1mexp(0.5 * m * e * e) + (n - K) * sum_terms
+
+        def objective(e: np.ndarray, h: np.ndarray) -> np.ndarray:
+            # Rows are k = 1..K, columns the chunk's feasible eps, in one
+            # K-by-chunk buffer.  The per-k constant goes through
+            # math.log and the rows are added in k order to +0.0 (so all
+            # -0.0 terms sum to +0.0), which gives every value the same
+            # double as a term-by-term loop.
+            logx = np.divide(-(0.5 * m * h * h), phik[:, None])
+            logx -= log_norm[:, None]
+            logx -= np.log(h)
+            terms = _log1mexp_of_negated(logx)  # -inf where x_k >= 1
+            sum_terms = np.zeros(h.shape)
+            for row in terms:
+                sum_terms += row
+            return log1mexp(0.5 * m * e * e) + (n - K) * sum_terms
+
+        out[ok] = _by_chunks(objective, eps_arr[ok], eta[ok])
     return float(out[0]) if scalar else out
 
 
@@ -199,9 +218,11 @@ def log_baseline_bound_at(
     gap = baseline_interval_upper(m, K) - eps_arr
     ok = (eps_arr > 0.0) & (gap > 0.0)
     if np.any(ok):
-        e = eps_arr[ok]
-        g = gap[ok]
-        out[ok] = log1mexp(0.5 * m * e * e) + (K * (n - K)) * log1mexp(0.5 * g * g)
+        out[ok] = _by_chunks(
+            lambda e, g: log1mexp(0.5 * m * e * e) + (K * (n - K)) * log1mexp(0.5 * g * g),
+            eps_arr[ok],
+            gap[ok],
+        )
     return float(out[0]) if scalar else out
 
 

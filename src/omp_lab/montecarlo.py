@@ -22,13 +22,22 @@ residual lies in span(A_S), so
 So OMP on ``(B, Q^T y)`` picks the same columns as OMP on ``(A, y)``
 through the first off-support pick, and one off-support pick already
 means failure for both: K picks with one off ``S`` leave a nonzero of
-``x`` without a column.  Each trial is therefore decided as
-:func:`~omp_lab.omp.run_omp` on ``B`` and
-:func:`~omp_lab.omp.check_exact_recovery` decide it, the same solver
-and check as the dense trial; :func:`~omp_lab.omp.recovers_stack`
-applies their rules to a whole stack of trials at once.  The columns of
-``A`` are exchangeable, so the support is laid on columns ``0..K-1`` of
-``B``.
+``x`` without a column.  The columns of ``A`` are exchangeable, so the
+support is laid on columns ``0..K-1`` of ``B``.
+
+A trial is then decided without building ``B``.  OMP on ``R`` alone is
+the all-on-support path; iteration ``k`` has residual ``u_k`` and
+winning correlation ``c_k``.  OMP on ``B`` leaves that path at
+iteration ``k`` only if some row ``g_j`` of ``G`` has
+``|<g_j, u_k>| > c_k`` (an exact tie goes to the support column, whose
+index is smaller).  So the trial succeeds iff ``|G U| <= c`` entrywise,
+with ``U = [u_0 .. u_{K-1}]``, and the K-column fit on ``R`` is exact:
+one pursuit on a K-by-K matrix plus one product of the (n-K)-by-K
+``G`` with the K-by-K ``U``.
+:func:`~omp_lab.omp.recovers_stack` decides a whole task's trials this
+way, by the rules of :func:`~omp_lab.omp.run_omp` and
+:func:`~omp_lab.omp.check_exact_recovery`, the solver and check of the
+dense trial.
 
 Why sampling ``(R, G)`` directly is exact:
 
@@ -46,21 +55,24 @@ instead of ``m n`` normals, and runs in ``O(n K^2)`` instead of
 ``O(m n K)``, whatever ``m``.  Only exact ties between correlations, an
 event of probability zero, can be broken differently than in the dense
 pursuit.  The dense :func:`run_trial` stays as the reference that the
-tests compare with, pathwise (OMP on ``B`` built from a dense ``A``
-decides as ``run_trial`` does on that ``A``, and the stacked pursuit
-decides each ``B`` as ``run_omp`` does) and in distribution (tallies
-agree).
+tests compare with, pathwise (the decision on ``(R, G)`` computed from
+a dense ``A`` equals ``run_trial`` on that ``A``) and in distribution
+(tallies agree).
 
-Determinism is structural: trial ``t`` of grid point ``g`` always uses
-``StreamKey(master_seed, g * trials + t)``, so the tally is a pure
-function of the config no matter how trials are scheduled.  A task is
-one stack of at most ``max(1, 2 MiB // (8 K n))`` consecutive trials of
-one point (8 at K = 30, n = 1024), fixed by K and n alone, so the task
-list is the same for every worker count.  The stacked pursuit keeps its
-rows apart, so a trial's decision does not depend on the other rows of
-its stack either.  Success counts are summed, which is associative and
-commutative, so spreading the tasks across processes cannot change any
-result.
+Determinism
+-----------
+Trial ``t`` of grid point ``g`` always uses
+``StreamKey(master_seed, g * trials + t)``, so its outcome is a pure
+function of the config and the key, whoever decides it.  The points of
+one (case, K) row of the grid differ only in m and have consecutive
+keys, so a task is a run of at most ``max(1, 2 MiB // (8 K K))``
+consecutive keys of one row (291 at K = 30, 1165 at K = 15), and may
+cross point boundaries.  The task list depends on the config alone, not
+on the worker count.  :func:`~omp_lab.omp.recovers_stack` keeps its
+rows apart, so a trial's decision does not depend on the other trials
+of its task either.  Each task returns its success counts per point,
+and counts are summed, which is associative and commutative, so
+spreading the tasks across processes cannot change any result.
 """
 
 from __future__ import annotations
@@ -69,7 +81,7 @@ import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,11 +92,11 @@ from .signals import (
     Purpose,
     SensingMatrix,
     SignalCase,
-    SparseSignal,
     StreamKey,
     generate_signal,
     sample_sensing_matrix,
     sample_support,
+    signal_nonzeros,
 )
 
 __all__ = [
@@ -107,7 +119,7 @@ SAMPLER = "reduced-bartlett"
 # the level of every Wilson interval.
 _Z95 = 1.9599639845400536
 
-# Byte budget of one task's stack of K-by-n trial matrices.
+# Byte budget of one task's stack of K-by-K support blocks.
 _STACK_BYTES = 2 * 1024 * 1024
 
 # Largest m accepted by run_trial; keeps a typo'd config from trying to
@@ -240,87 +252,106 @@ def run_trial(
 
 def sample_reduced_trial(
     m: int, n: int, K: int, case: SignalCase, key: StreamKey
-) -> Tuple[SensingMatrix, SparseSignal]:
-    """Draw the K-by-n matrix ``B = [R | G^T]`` and the signal of one trial.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw ``(R, G, x_S)`` of one reduced trial, as a task draws it.
 
-    The one-trial view of the stack that :func:`run_experiment` decides:
-    row 0 of :func:`_sample_stack` for trial ``key.trial_index``.  See
-    the module docstring.  From the ``Purpose.MATRIX`` stream of
+    See the module docstring.  From the ``Purpose.MATRIX`` stream of
     ``key``, in this order: the strictly upper part of the K-by-K
     Bartlett factor ``R`` (N(0, 1/m)), its diagonal
     ``sqrt(chi2_{m-i} / m)`` for ``i = 0..K-1``, and the (n-K)-by-K
-    off-support block ``G`` (N(0, 1/m)).  The length-n signal sits on
-    support ``0..K-1`` and follows the case's rule; Gaussian values come
-    from the ``Purpose.SIGNAL`` stream, so they equal the dense trial's
-    nonzeros for the same key.
+    off-support block ``G`` (N(0, 1/m)).  ``x_S`` holds the case's K
+    nonzeros (:func:`~omp_lab.signals.signal_nonzeros`); Gaussian values
+    come from the ``Purpose.SIGNAL`` stream, so they equal the dense
+    trial's nonzeros for the same key.
 
     Raises
     ------
     ValueError
         If ``K`` is not in ``[1, min(m, n))``.
     """
-    stack, truths = _sample_stack(m, n, K, case, key.master_seed, key.trial_index, 1)
-    return SensingMatrix(stack[0]), SparseSignal(truths[0], np.arange(K))
+    if not 1 <= K < min(m, n):
+        raise ValueError(f"need 1 <= K < min(m, n), got K={K}, m={m}, n={n}")
+    support, values, off = _draw_trials(
+        n, K, case, key.master_seed, key.trial_index, (m,)
+    )
+    return support[0], next(off).copy(), values[0]
 
 
-def _stack_size(n: int, K: int) -> int:
-    """Trials per task: as many K-by-n float64 matrices as fit the budget."""
-    return max(1, _STACK_BYTES // (8 * K * n))
+def _stack_size(K: int) -> int:
+    """Trials per task: as many K-by-K float64 blocks as fit the budget."""
+    return max(1, _STACK_BYTES // (8 * K * K))
 
 
-def _sample_stack(
-    m: int,
+def _draw_trials(
     n: int,
     K: int,
     case: SignalCase,
     master_seed: int,
     first_trial: int,
-    count: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Draw ``count`` consecutive keyed reduced trials.
+    trial_ms: Sequence[int],
+) -> Tuple[np.ndarray, np.ndarray, Iterator[np.ndarray]]:
+    """Draw consecutive keyed reduced trials; trial ``first_trial + s``
+    has ``m = trial_ms[s]``.
 
-    Returns the ``(count, K, n)`` stack of matrices ``B`` and the
-    ``(count, n)`` signal values; row ``s`` is trial ``first_trial + s``,
-    drawn as :func:`sample_reduced_trial` describes.
+    Returns the ``(S, K, K)`` stack of factors ``R``, the ``(S, K)``
+    nonzeros, and an iterator over the trials' ``G`` blocks, drawn as
+    :func:`sample_reduced_trial` describes.  Each trial's stream is kept
+    after its ``R``, and the iterator draws each ``G`` into one reused
+    buffer, so a block is valid only until the next one is drawn.
     """
-    if not 1 <= K < min(m, n):
-        raise ValueError(f"need 1 <= K < min(m, n), got K={K}, m={m}, n={n}")
-    scale = 1.0 / math.sqrt(m)
-    support = np.arange(K)
-    stack = np.empty((count, K, n))
-    truths = np.empty((count, n))
-    for s, B in enumerate(stack):
-        key = StreamKey(master_seed, trial_index=first_trial + s)
-        stream = key.with_purpose(Purpose.MATRIX).generator()
-        B[:, :K] = np.triu(stream.standard_normal((K, K)), 1) * scale
-        B[support, support] = np.sqrt(stream.chisquare(m - support) / m)
-        B[:, K:] = (stream.standard_normal((n - K, K)) * scale).T
-        truths[s] = generate_signal(
-            n, support, case, key.with_purpose(Purpose.SIGNAL)
-        ).values
-    return stack, truths
+    diagonal = np.arange(K)
+    support = np.empty((len(trial_ms), K, K))
+    values = np.empty((len(trial_ms), K))
+    streams = []
+    for s, m in enumerate(trial_ms):
+        scale = 1.0 / math.sqrt(m)
+        stream = StreamKey(master_seed, first_trial + s, Purpose.MATRIX).generator()
+        support[s] = np.triu(stream.standard_normal((K, K)), 1) * scale
+        support[s, diagonal, diagonal] = np.sqrt(stream.chisquare(m - diagonal) / m)
+        values[s] = signal_nonzeros(
+            K, case, StreamKey(master_seed, first_trial + s, Purpose.SIGNAL)
+        )
+        streams.append((stream, scale))
+
+    def off() -> Iterator[np.ndarray]:
+        block = np.empty((n - K, K))
+        for stream, scale in streams:
+            stream.standard_normal(out=block)
+            block *= scale
+            yield block
+
+    return support, values, off()
 
 
 def _count_successes(
-    m: int,
     n: int,
     K: int,
     case: SignalCase,
     master_seed: int,
+    trials: int,
+    ms: Tuple[int, ...],
     first_trial: int,
     count: int,
-) -> int:
-    """Decide ``count`` consecutive keyed reduced trials as one stack;
-    return the tally.
+) -> Tuple[int, ...]:
+    """Decide keyed trials ``first_trial .. first_trial + count - 1`` of
+    one (case, K) row as one stack; return the successes of each grid
+    point they touch.
 
-    Top-level so process pools can pickle it.
+    Key ``i`` belongs to grid point ``i // trials``, and ``ms`` lists
+    the m of each point the range touches, in order; the counts are
+    aligned with it.  Top-level so process pools can pickle it.
     """
-    stack, truths = _sample_stack(m, n, K, case, master_seed, first_trial, count)
+    first_point = first_trial // trials
+    points = np.arange(first_trial, first_trial + count) // trials - first_point
+    trial_ms = [ms[p] for p in points]
+    support, values, off = _draw_trials(n, K, case, master_seed, first_trial, trial_ms)
     try:
-        recovered = recovers_stack(stack, truths, K)
+        recovered = recovers_stack(support, values, off)
     except DegenerateColumnError as err:
-        raise TrialError(m, K, case, first_trial + err.row, err) from err
-    return int(np.count_nonzero(recovered))
+        raise TrialError(
+            trial_ms[err.row], K, case, first_trial + err.row, err
+        ) from err
+    return tuple(int(c) for c in np.bincount(points[recovered], minlength=len(ms)))
 
 
 @dataclass(frozen=True)
@@ -389,31 +420,35 @@ def run_experiment(
 ) -> ExperimentResult:
     """Sweep the config's grid and tally recoveries at every point.
 
-    The whole grid is one task queue: each point's trials are split into
-    stacks of at most ``_stack_size(n, K)`` consecutive trials, whatever
-    ``workers`` is, and each stack is one task.  The tasks of all points
-    are mapped in grid order, in this process when ``workers == 1`` and
-    over a process pool of ``min(workers, tasks)`` processes otherwise.
-    Tallies are reduced in the same order, so the parent attaches each
-    point's bounds and calls ``progress`` with
-    ``(points_done, points_total, result)`` as soon as that point's
-    stacks are in, while the pool works on later points.  Per-trial
+    The whole grid is one task queue.  Each (case, K) row's keyed
+    trials are split into runs of at most ``_stack_size(K)`` consecutive
+    trials, whatever ``workers`` is, and each run is one task, which may
+    span several points of the row.  The tasks are mapped in grid order,
+    in this process when ``workers == 1`` and over a process pool of
+    ``min(workers, tasks)`` processes otherwise.  Meanwhile the parent
+    evaluates every point's bounds, each once per distinct argument set:
+    ``baseline_bound`` per (m, K), ``disparity_bound`` per (m, K, phi).
+    Tallies are then reduced in grid order, and ``progress`` is called
+    with ``(points_done, points_total, result)`` as soon as a point's
+    last task is in, while the pool works on later tasks.  Per-trial
     keyed streams make the result identical for every worker count.  A
     failing trial raises its ``TrialError`` here and cancels the tasks
-    not yet started.  Each bound is evaluated once per distinct
-    argument set: ``baseline_bound`` per (m, K), ``disparity_bound`` per
-    (m, K, phi).
+    not yet started.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     grid = list(config.grid_points())
-    starts = [range(0, config.trials, _stack_size(config.n, K)) for _, K, _ in grid]
-    tasks = [
-        (m, config.n, K, case, config.master_seed,
-         g * config.trials + start, min(point_starts.step, config.trials - start))
-        for g, ((case, K, m), point_starts) in enumerate(zip(grid, starts))
-        for start in point_starts
-    ]
+    trials, row_points = config.trials, len(config.m_values)
+    tasks = []
+    for row in range(0, len(grid), row_points):
+        case, K, _ = grid[row]
+        row_end = (row + row_points) * trials
+        for first in range(row * trials, row_end, _stack_size(K)):
+            end = min(first + _stack_size(K), row_end)
+            ms = config.m_values[first // trials - row : (end - 1) // trials - row + 1]
+            tasks.append(
+                (config.n, K, case, config.master_seed, trials, ms, first, end - first)
+            )
     baseline = functools.cache(
         lambda m, K: bounds.baseline_bound(m, config.n, K).value
     )
@@ -421,25 +456,36 @@ def run_experiment(
         lambda m, K, phi: bounds.disparity_bound(m, config.n, K, phi).value
     )
     points = []
+    successes = [0] * len(grid)
     # A fork-started pool launches all its processes at the first submit.
     workers = min(workers, len(tasks))
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         tallies = (map if pool is None else pool.map)(_count_successes, *zip(*tasks))
-        for (case, K, m), point_starts in zip(grid, starts):
-            point = PointResult(
-                m=m,
-                n=config.n,
-                K=K,
-                case=case,
-                trials=config.trials,
-                successes=sum(next(tallies) for _ in point_starts),
-                disparity_bound_value=disparity(m, K, phi_for_case(case)),
-                baseline_bound_value=baseline(m, K),
-            )
-            points.append(point)
-            if progress is not None:
-                progress(len(points), len(grid), point)
+        bound_values = [
+            (disparity(m, K, phi_for_case(case)), baseline(m, K))
+            for case, K, m in grid
+        ]
+        for task, counts in zip(tasks, tallies):
+            first, count = task[-2:]
+            for g, c in enumerate(counts, first // trials):
+                successes[g] += c
+            while len(points) < (first + count) // trials:
+                g = len(points)
+                case, K, m = grid[g]
+                point = PointResult(
+                    m=m,
+                    n=config.n,
+                    K=K,
+                    case=case,
+                    trials=trials,
+                    successes=successes[g],
+                    disparity_bound_value=bound_values[g][0],
+                    baseline_bound_value=bound_values[g][1],
+                )
+                points.append(point)
+                if progress is not None:
+                    progress(len(points), len(grid), point)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

@@ -13,9 +13,11 @@ with a single re-orthogonalization pass (CGS2), which keeps
 ``||Q^T Q - I||`` at the 1e-15 level in practice; good enough that
 residuals stay numerically orthogonal to every selected column.
 
-:func:`recovers_stack` applies the same rules to a stack of problems at
-once and returns only whether each one was recovered exactly;
-:func:`run_omp` is the single-problem reference it is tested against.
+:func:`recovers_stack` decides a stack of problems whose support is
+known, by the same rules, from the pursuit on the support columns plus
+one product with the other columns; it returns only whether each one was
+recovered exactly.  :func:`run_omp` is the single-problem reference it
+is tested against.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -247,51 +249,96 @@ def check_exact_recovery(result: OmpResult, truth: SparseSignal) -> bool:
     return float(np.linalg.norm(result.coefficients - truth.values)) <= RECOVERY_TOL
 
 
-def recovers_stack(stack: np.ndarray, truths: np.ndarray, sparsity: int) -> np.ndarray:
+def recovers_stack(
+    support: np.ndarray, values: np.ndarray, off: Iterable[np.ndarray]
+) -> np.ndarray:
     """Does OMP recover each row's signal?  One boolean per stack row.
 
-    Row ``s`` measures ``x = truths[s]`` through ``A = stack[s]`` (an
-    S-by-m-by-n stack, S-by-n truths) and asks what
-    ``check_exact_recovery(run_omp(A, A @ x, sparsity), x)`` asks, by
-    the same rules: the pick is ``argmax_j |<r, A_j>|`` over the columns
-    not yet chosen, the smallest index on exact ties; the pick is
-    appended to a thin QR by CGS2; the coefficients come from
-    ``np.linalg.solve`` on R; and the answer is whether they lie within
-    ``RECOVERY_TOL`` of ``x``.  All rows advance one iteration at a
-    time, so the per-iteration numpy calls are paid once per stack
-    rather than once per row.  There is no early stop: every row runs
-    ``sparsity`` iterations.
+    Row ``s`` is the problem ``A = [support[s] | block^T]``,
+    ``x = (values[s], 0, ..., 0)``: its K support columns come first (an
+    S-by-m-by-K stack, S-by-K values), and its other columns are the
+    rows of the (n-K)-by-m block that ``off`` yields for it.  The answer
+    is what ``check_exact_recovery(run_omp(A, A @ x, K), x)`` gives, and
+    it comes in two steps.
+
+    First, the all-on-support path: OMP on the support columns alone,
+    under the rules of :func:`run_omp`.  The pick is
+    ``argmax_j |<r, a_j>|`` over the columns not yet chosen, the
+    smallest index on exact ties; it is appended to a thin QR by CGS2;
+    and the coefficients come from ``np.linalg.solve`` on R.  All rows
+    advance one iteration at a time, so the per-iteration numpy calls
+    are paid once per stack rather than once per row, and there is no
+    early stop.  Iteration ``k`` records its residual ``u_k`` and its
+    winning correlation ``c_k``.
+
+    Second, the off-support columns, one matrix product per row.  OMP
+    on ``A`` follows this path through iteration ``k`` unless some
+    off-support column has ``|<g_j, u_k>| > c_k``; on an exact tie the
+    support column wins, as its index is smaller.  An off-support pick
+    leaves a nonzero of ``x`` without a column, so the fit misses it by
+    at least its magnitude.  Row ``s`` is therefore recovered iff
+    ``max_j |<g_j, u_k>| <= c_k`` at every ``k`` and the K-column fit
+    lies within ``RECOVERY_TOL`` of ``values[s]`` (up to a nonzero that
+    is itself within ``RECOVERY_TOL`` of 0).  ``off`` is consumed after
+    the path, one block per row in row order, so its blocks may share
+    one buffer.
 
     Raises
     ------
     ValueError
-        On shape mismatch or ``sparsity`` outside ``[1, min(m, n)]``.
+        On shape mismatch, ``K > m``, or ``off`` not yielding one block
+        per row.
     DegenerateColumnError
         If a winning column is dependent on the columns its row already
         chose; ``row`` is the first such row at the earliest such
         iteration.
     """
-    A = np.asarray(stack, dtype=float)
-    X = np.asarray(truths, dtype=float)
+    recovered, residuals, wins = _support_path(support, values)
+    S = recovered.size
+    s = -1
+    for s, block in enumerate(off):
+        if s == S:
+            break
+        recovered[s] &= bool(np.all(np.abs(block @ residuals[s]) <= wins[s]))
+    if s != S - 1:
+        raise ValueError(f"off must yield one block for each of the {S} rows")
+    return recovered
+
+
+def _support_path(
+    support: np.ndarray, values: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """OMP on each row's support columns alone, all rows at once, by the
+    rules :func:`recovers_stack` states.
+
+    Returns whether each row's K-column fit lies within ``RECOVERY_TOL``
+    of its values, the residuals ``U`` (S-by-m-by-K; column ``k`` of
+    ``U[s]`` is the residual that iteration ``k`` correlates), and the
+    winning correlations ``c`` (S-by-K).
+    """
+    A = np.asarray(support, dtype=float)
+    X = np.asarray(values, dtype=float)
     if A.ndim != 3 or X.shape != (A.shape[0], A.shape[2]):
         raise ValueError(
-            f"need an S-by-m-by-n stack and S-by-n truths, got {A.shape} and {X.shape}"
+            f"need an S-by-m-by-K stack and S-by-K values, got {A.shape} and {X.shape}"
         )
-    S, m, n = A.shape
-    if not 1 <= sparsity <= min(m, n):
-        raise ValueError(
-            f"sparsity must be in [1, min(m, n)] = [1, {min(m, n)}], got {sparsity}"
-        )
+    S, m, K = A.shape
+    if not 1 <= K <= m:
+        raise ValueError(f"need 1 <= K <= m, got K={K}, m={m}")
     rows = np.arange(S)
     y = np.matmul(A, X[:, :, None])  # S x m x 1
-    basis = np.zeros((S, sparsity, m))  # row i of basis[s] is q_i of row s
-    r_factor = np.zeros((S, sparsity, sparsity))
-    selected = np.empty((S, sparsity), dtype=np.intp)
+    basis = np.zeros((S, K, m))  # row i of basis[s] is q_i of row s
+    r_factor = np.zeros((S, K, K))
+    selected = np.empty((S, K), dtype=np.intp)
+    residuals = np.empty((S, m, K))
+    wins = np.empty((S, K))
     residual = y
-    for k in range(sparsity):
+    for k in range(K):
+        residuals[:, :, k] = residual[:, :, 0]
         correlations = np.abs(np.matmul(residual.transpose(0, 2, 1), A)[:, 0])
         correlations[rows[:, None], selected[:, :k]] = -1.0
         j = np.argmax(correlations, axis=1)
+        wins[:, k] = correlations[rows, j]
         a = A[rows, :, j][:, :, None]
         q_active = basis[:, :k]
         q_active_t = q_active.transpose(0, 2, 1)
@@ -316,11 +363,11 @@ def recovers_stack(stack: np.ndarray, truths: np.ndarray, sparsity: int) -> np.n
         q_active = basis[:, : k + 1]
         residual = y - np.matmul(q_active.transpose(0, 2, 1), np.matmul(q_active, y))
 
-    coefficients = np.zeros((S, n))
+    coefficients = np.empty((S, K))
     coefficients[rows[:, None], selected] = np.linalg.solve(
         r_factor, np.matmul(basis, y)
     )[:, :, 0]
-    return np.linalg.norm(coefficients - X, axis=1) <= RECOVERY_TOL
+    return np.linalg.norm(coefficients - X, axis=1) <= RECOVERY_TOL, residuals, wins
 
 
 def brute_force_best_support(

@@ -31,6 +31,7 @@ __all__ = [
     "SensingMatrix",
     "sample_sensing_matrix",
     "sample_support",
+    "signal_nonzeros",
     "generate_signal",
 ]
 
@@ -227,19 +228,43 @@ def sample_support(n: int, K: int, key: StreamKey) -> np.ndarray:
     return np.sort(stream.choice(n, size=K, replace=False)).astype(np.intp)
 
 
+def signal_nonzeros(K: int, case: SignalCase, key: StreamKey) -> np.ndarray:
+    """The case's K nonzero values, in ascending support-index order.
+
+    For the decaying case the i-th value (i = 1..K) is ``alpha**(K-i)``,
+    so the largest magnitude comes first and consecutive values decay by
+    exactly ``alpha``.  Gaussian values are deterministic given ``key``;
+    the other cases do not read it.
+
+    Raises
+    ------
+    ValueError
+        If ``K < 1``.
+    """
+    if K < 1:
+        raise ValueError(f"need K >= 1, got {K}")
+    if case.kind == "flat":
+        return np.ones(K)
+    if case.kind == "decaying":
+        assert case.alpha is not None
+        exponents = K - 1 - np.arange(K)
+        return case.alpha ** exponents.astype(float)
+    assert case.sigma is not None
+    return case.sigma * key.generator().standard_normal(K)
+
+
 def generate_signal(
     n: int,
     support: Sequence[int],
     case: SignalCase,
     key: StreamKey,
 ) -> SparseSignal:
-    """Place case-defined nonzero values on ``support`` inside a zero vector.
+    """Place the case's nonzero values (:func:`signal_nonzeros`) on
+    ``support`` inside a zero vector.
 
-    For the decaying case the i-th support position in ascending index
-    order (i = 1..K) receives ``alpha**(K-i)``, so the largest magnitude
-    sits at the smallest support index and consecutive ordered magnitudes
-    decay by exactly ``alpha``.  Gaussian values are deterministic given
-    ``key``.
+    The i-th support position in ascending index order receives the
+    i-th value, so for the decaying case the largest magnitude sits at
+    the smallest support index.
 
     Raises
     ------
@@ -249,16 +274,6 @@ def generate_signal(
     support = np.asarray(support, dtype=np.intp)
     if support.size == 0:
         raise ValueError("support must be nonempty")
-    K = support.size
     values = np.zeros(n, dtype=float)
-    if case.kind == "flat":
-        values[support] = 1.0
-    elif case.kind == "decaying":
-        assert case.alpha is not None
-        exponents = K - 1 - np.arange(K)
-        values[support] = case.alpha ** exponents.astype(float)
-    else:
-        assert case.sigma is not None
-        stream = key.generator()
-        values[support] = case.sigma * stream.standard_normal(K)
+    values[support] = signal_nonzeros(support.size, case, key)
     return SparseSignal(values=values, support=support)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omp_lab import bounds as bounds_mod
 from omp_lab.bounds import (
     BoundResult,
     baseline_bound,
@@ -220,6 +221,35 @@ class TestBroadcastMatchesLoop:
         want = _per_k_loop_oracle(m, 1024, K, phi, eps)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestEpsChunks:
+    """A grid far longer than one eps chunk gets the one-pass doubles."""
+
+    def test_chunk_is_smaller_than_the_grid(self):
+        assert bounds_mod._EPS_CHUNK < 10**6
+
+    @pytest.mark.parametrize("phi", [D11, GAUSS], ids=lambda p: p.label())
+    def test_disparity_bit_identical_on_a_million_eps(self, phi):
+        # past the feasible end too, so -inf terms straddle chunk edges
+        m, n, K = 700, 1024, 12
+        width = 1.0 - math.sqrt(K / m)
+        eps = 1.05 * width * np.arange(1, 10**6 + 1) / 10**6
+        got = log_disparity_bound_at(m, n, K, phi, eps)
+        want = _per_k_loop_oracle(m, n, K, phi, eps)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_baseline_bit_identical_on_a_million_eps(self):
+        m, n, K = 700, 1024, 12
+        width = baseline_interval_upper(m, K)
+        eps = 1.05 * width * np.arange(1, 10**6 + 1) / 10**6
+        got = log_baseline_bound_at(m, n, K, eps)
+        want = np.full(eps.shape, -np.inf)
+        ok = eps < width
+        e, gap = eps[ok], width - eps[ok]
+        want[ok] = log1mexp(0.5 * m * e * e) + (K * (n - K)) * log1mexp(0.5 * gap * gap)
+        assert np.array_equal(got, want)
 
 
 class TestProductTermsBelowOne:

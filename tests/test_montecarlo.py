@@ -156,7 +156,7 @@ def _dense_instance(m, n, K, case, key):
 
 
 def _dense_reduction(A, signal):
-    """(B, signal on 0..K-1, perm) for a dense instance: ``B = Q^T A[:, perm]``
+    """(R, G, x_S, perm) of a dense instance: ``B = Q^T A[:, perm] = [R | G^T]``
     with Q from the QR of A_S with a positive diagonal, and ``perm`` the
     support followed by the off-support columns in index order."""
     support = signal.support
@@ -166,49 +166,51 @@ def _dense_reduction(A, signal):
     Q, R = np.linalg.qr(A[:, support])
     Q = Q * np.sign(np.diagonal(R))
     B = Q.T @ A[:, perm]
-    return SensingMatrix(B), SparseSignal(signal.values[perm], np.arange(support.size)), perm
+    K = support.size
+    return B[:, :K], B[:, K:].T, signal.values[support], perm
 
 
-def _pursue(matrix, signal):
-    """OMP result and decision of one trial, as ``_count_successes`` runs it."""
-    result = run_omp(matrix, matrix.entries @ signal.values, signal.support.size)
-    return result, check_exact_recovery(result, signal)
+def _pursue(R, G, x_s):
+    """OMP result and decision of run_omp plus the check on ``B = [R | G^T]``."""
+    B = SensingMatrix(np.hstack([R, G.T]))
+    x = np.concatenate([x_s, np.zeros(G.shape[0])])
+    result = run_omp(B, B.entries @ x, x_s.size)
+    return result, check_exact_recovery(result, SparseSignal(x, np.arange(x_s.size)))
+
+
+def _decide(R, G, x_s):
+    """recovers_stack's decision on one reduced trial."""
+    return bool(recovers_stack(R[None], x_s[None], [G])[0])
 
 
 class TestReducedTrial:
     def test_sampler_shapes_and_determinism(self):
         key = StreamKey(3, 11)
-        matrix, signal = sample_reduced_trial(40, 64, 5, SignalCase.flat(), key)
-        B = matrix.entries
-        assert B.shape == (5, 64) and signal.values.size == 64
-        assert np.array_equal(signal.support, np.arange(5))
-        R = B[:, :5]
+        R, G, x_s = sample_reduced_trial(40, 64, 5, SignalCase.flat(), key)
+        assert R.shape == (5, 5) and G.shape == (59, 5) and x_s.shape == (5,)
         assert np.all(np.tril(R, -1) == 0.0) and np.all(np.diagonal(R) > 0.0)
-        again_matrix, again_signal = sample_reduced_trial(
-            40, 64, 5, SignalCase.flat(), key
-        )
-        assert np.array_equal(B, again_matrix.entries)
-        assert np.array_equal(signal.values, again_signal.values)
+        again = sample_reduced_trial(40, 64, 5, SignalCase.flat(), key)
+        for drawn, redrawn in zip((R, G, x_s), again):
+            assert np.array_equal(drawn, redrawn)
 
     @pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.label())
     def test_signal_values_follow_the_case(self, case):
         # the dense trial's nonzeros, in support order, for the same key
         key = StreamKey(8, 2)
-        _, signal = sample_reduced_trial(50, 128, 6, case, key)
+        _, _, x_s = sample_reduced_trial(50, 128, 6, case, key)
         _, dense = _dense_instance(50, 128, 6, case, key)
-        assert np.array_equal(signal.support, np.arange(6))
-        assert np.array_equal(signal.values[:6], dense.values[dense.support])
+        assert np.array_equal(x_s, dense.values[dense.support])
 
     def test_sampler_moments(self):
         # E[R_ii^2] = (m - i)/m, E[R_ij^2] = E[G_ij^2] = 1/m; a chi-square
         # with m - i + 1 degrees of freedom would miss by 1/m = 5 SE here
         m, n, K, draws = 40, 48, 8, 2000
-        Bs = [
-            sample_reduced_trial(m, n, K, SignalCase.flat(), StreamKey(1, t))[0].entries
-            for t in range(draws)
-        ]
-        Rs = [B[:, :K] for B in Bs]
-        Gs = [B[:, K:].T for B in Bs]
+        Rs, Gs, _ = zip(
+            *(
+                sample_reduced_trial(m, n, K, SignalCase.flat(), StreamKey(1, t))
+                for t in range(draws)
+            )
+        )
         diag_sq = np.mean([np.diagonal(R) ** 2 for R in Rs], axis=0)
         expected = (m - np.arange(K)) / m
         se = np.sqrt(2.0 * (m - np.arange(K)) / m**2 / draws)
@@ -219,11 +221,11 @@ class TestReducedTrial:
             assert abs(np.mean(block) * np.sqrt(m)) < 4.0 / np.sqrt(block.size)
 
     def test_decision_on_designed_inputs(self):
-        signal = SparseSignal(np.r_[1.0, 2.0, 3.0, np.zeros(5)], np.arange(3))
+        x_s = np.array([1.0, 2.0, 3.0])
         G = np.zeros((5, 3))
-        assert _pursue(SensingMatrix(np.hstack([np.eye(3), G.T])), signal)[1]
+        assert _decide(np.eye(3), G, x_s) and _pursue(np.eye(3), G, x_s)[1]
         G[4, 2] = 5.0  # beats the first on-support correlation, 3
-        assert not _pursue(SensingMatrix(np.hstack([np.eye(3), G.T])), signal)[1]
+        assert not _decide(np.eye(3), G, x_s) and not _pursue(np.eye(3), G, x_s)[1]
 
     def test_validation(self):
         for m, n, K in ((10, 64, 10), (10, 64, 0), (40, 8, 8)):
@@ -233,18 +235,19 @@ class TestReducedTrial:
     def test_pathwise_equal_to_dense(self):
         # OMP on B = Q^T A[:, perm] must pick the dense pursuit's columns
         # up to and including its first off-support pick, and decide alike;
-        # and the stacked pursuit over each (m, case)'s 20 matrices B must
+        # and recovers_stack over each (m, case)'s 20 reductions must
         # decide every row as run_omp on that B does.
         outcomes = []
         mixed_stacks = 0
         for m in EQ_M:
             for case in ALL_CASES:
-                stack, truths, decisions, first_off = [], [], [], []
+                rows, decisions, first_off = [], [], []
                 for t in range(20):
                     A, signal = _dense_instance(m, EQ_N, EQ_K, case, StreamKey(2024, t))
-                    dense, decision = _pursue(SensingMatrix(A), signal)
-                    B, reduced_signal, perm = _dense_reduction(A, signal)
-                    reduced, reduced_decision = _pursue(B, reduced_signal)
+                    dense = run_omp(SensingMatrix(A), A @ signal.values, EQ_K)
+                    decision = check_exact_recovery(dense, signal)
+                    R, G, x_s, perm = _dense_reduction(A, signal)
+                    reduced, reduced_decision = _pursue(R, G, x_s)
                     off = ~np.isin(dense.selected, signal.support)
                     prefix = int(np.argmax(off)) + 1 if off.any() else EQ_K
                     assert np.array_equal(
@@ -252,11 +255,11 @@ class TestReducedTrial:
                     ), (m, case.label(), t)
                     assert reduced_decision == decision, (m, case.label(), t)
                     outcomes.append(decision)
-                    stack.append(B.entries)
-                    truths.append(reduced_signal.values)
+                    rows.append((R, G, x_s))
                     decisions.append(reduced_decision)
                     first_off.append(prefix if off.any() else None)
-                stacked = recovers_stack(np.stack(stack), np.stack(truths), EQ_K)
+                Rs, Gs, xs = zip(*rows)
+                stacked = recovers_stack(np.stack(Rs), np.stack(xs), Gs)
                 assert stacked.tolist() == decisions, (m, case.label())
                 mixed_stacks += any(decisions) and 1 in first_off
         assert len(outcomes) >= 500
@@ -266,19 +269,42 @@ class TestReducedTrial:
 
     @pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.label())
     def test_stack_rows_equal_one_trial_sampler(self, case):
-        stack, truths = montecarlo._sample_stack(50, 128, 6, case, 8, 40, 5)
-        assert stack.shape == (5, 6, 128) and truths.shape == (5, 128)
-        for s in range(5):
-            matrix, signal = sample_reduced_trial(50, 128, 6, case, StreamKey(8, 40 + s))
-            assert stack[s].tobytes() == matrix.entries.tobytes()
-            assert truths[s].tobytes() == signal.values.tobytes()
+        # trials 40..44, the last three at a larger m, as a task that
+        # crosses a point boundary draws them
+        trial_ms = (50, 50, 60, 60, 60)
+        support, values, off = montecarlo._draw_trials(128, 6, case, 8, 40, trial_ms)
+        assert support.shape == (5, 6, 6) and values.shape == (5, 6)
+        blocks = [block.copy() for block in off]
+        assert len(blocks) == 5
+        for s, m in enumerate(trial_ms):
+            R, G, x_s = sample_reduced_trial(m, 128, 6, case, StreamKey(8, 40 + s))
+            assert support[s].tobytes() == R.tobytes()
+            assert blocks[s].tobytes() == G.tobytes()
+            assert values[s].tobytes() == x_s.tobytes()
 
     def test_stack_size_from_byte_budget(self):
-        assert montecarlo._stack_size(1024, 30) == 8
-        assert montecarlo._stack_size(1024, 15) == 17
-        assert montecarlo._stack_size(10**6, 30) == 1
-        for n, K in ((1024, 30), (1024, 15), (64, 3)):
-            assert 8 * K * n * montecarlo._stack_size(n, K) <= 2 * 1024 * 1024
+        assert montecarlo._stack_size(30) == 291
+        assert montecarlo._stack_size(15) == 1165
+        assert montecarlo._stack_size(1000) == 1
+        for K in (30, 15, 3):
+            assert 8 * K * K * montecarlo._stack_size(K) <= 2 * 1024 * 1024
+
+    def test_task_across_a_point_boundary(self):
+        # keys 13..24 of a row with 5 trials per point: the last two
+        # trials of the point at m=24, all five at m=48 and at m=72
+        # (0, 2 and 5 successes); each trial is decided as run_omp on its
+        # B decides it
+        ms, trials, first, count = (24, 48, 72), 5, 13, 12
+        case = SignalCase.flat()
+        counts = montecarlo._count_successes(
+            EQ_N, EQ_K, case, 6, trials, ms, first, count
+        )
+        want = [0, 0, 0]
+        for key in range(first, first + count):
+            p = key // trials - first // trials
+            trial = sample_reduced_trial(ms[p], EQ_N, EQ_K, case, StreamKey(6, key))
+            want[p] += _pursue(*trial)[1]
+        assert counts == tuple(want) == (0, 2, 5)
 
     @pytest.mark.slow
     def test_distribution_equal_to_dense(self):
@@ -290,9 +316,8 @@ class TestReducedTrial:
         alpha = 1e-3 / len(points)
         rates = []
         for m, case in points:
-            reduced = sum(
-                _pursue(*sample_reduced_trial(m, EQ_N, EQ_K, case, StreamKey(31, t)))[1]
-                for t in range(trials)
+            (reduced,) = montecarlo._count_successes(
+                EQ_N, EQ_K, case, 31, trials, (m,), 0, trials
             )
             dense = sum(
                 run_trial(m, EQ_N, EQ_K, case, StreamKey(37, t))
@@ -444,18 +469,20 @@ class TestRunExperiment:
         [(1, 4, []), (1, 3, []), (40, 3, [3]), (40, 8, [4])],
     )
     def test_pool_no_larger_than_task_list(self, monkeypatch, trials, workers, pool_sizes):
-        # one point, whose K=3 stacks hold 10 trials at n=8192: 1 task at
+        # one point, whose K=160 stacks hold 10 trials: 1 task at
         # trials=1 and 4 tasks at trials=40
         made = _inline_pool(monkeypatch)
         config = _small_config(
-            n=8192, m_values=(24,), cases=(SignalCase.flat(),), trials=trials
+            n=256, m_values=(170,), k_values=(160,), cases=(SignalCase.flat(),),
+            trials=trials,
         )
         run_experiment(config, workers=workers)
         assert made == pool_sizes
 
     def test_tasks_and_tallies_independent_of_workers(self, monkeypatch):
-        # K=3 stacks hold 21 trials at n=4096 and K=8 stacks 8, so a
-        # point's 30 trials split into 21 + 9 and 8 + 8 + 8 + 6
+        # K=3 stacks hold 29127 trials and K=100 stacks 26, so a row of
+        # two 20-trial points is one task at K=3 and 26 + 14 at K=100,
+        # whose first task crosses the boundary between the points
         _inline_pool(monkeypatch)
         real = montecarlo._count_successes
         runs = {}
@@ -467,14 +494,20 @@ class TestRunExperiment:
                 return real(*task)
 
             monkeypatch.setattr(montecarlo, "_count_successes", recorded)
-            config = _small_config(n=4096, k_values=(3, 8), trials=30)
+            config = _small_config(
+                n=256, m_values=(110, 130), k_values=(3, 100), trials=20
+            )
             runs[workers][1].extend(
                 p.successes for p in run_experiment(config, workers=workers).points
             )
         assert runs[1] == runs[2] == runs[3]
-        tasks = runs[1][0]
-        assert [t[-2:] for t in tasks[:6]] == [
-            (0, 21), (21, 9), (30, 21), (51, 9), (60, 8), (68, 8)
+        assert [(t[5], *t[-2:]) for t in runs[1][0]] == [
+            ((110, 130), 0, 40),
+            ((110, 130), 40, 26),
+            ((130,), 66, 14),
+            ((110, 130), 80, 40),
+            ((110, 130), 120, 26),
+            ((130,), 146, 14),
         ]
 
 
@@ -511,7 +544,7 @@ class TestTrialError:
     def test_wraps_solver_failure_with_location(self, monkeypatch):
         degenerate_pursuit(monkeypatch)
         with pytest.raises(TrialError) as info:
-            montecarlo._count_successes(10, 20, 2, SignalCase.flat(), 0, 5, 3)
+            montecarlo._count_successes(20, 2, SignalCase.flat(), 0, 10, (10,), 5, 3)
         err = info.value
         assert (err.m, err.K, err.trial_index) == (10, 2, 5)
         assert err.case == SignalCase.flat()
@@ -520,9 +553,18 @@ class TestTrialError:
     def test_names_the_failing_row_of_the_stack(self, monkeypatch):
         degenerate_pursuit(monkeypatch, row=2)
         with pytest.raises(TrialError) as info:
-            montecarlo._count_successes(10, 20, 2, SignalCase.flat(), 0, 5, 3)
+            montecarlo._count_successes(20, 2, SignalCase.flat(), 0, 10, (10,), 5, 3)
         assert info.value.trial_index == 7
         assert info.value.cause.row == 2
+
+    def test_names_the_point_of_a_row_across_a_boundary(self, monkeypatch):
+        # keys 8..13 with 5 trials per point: rows 0-1 are at m=10, rows
+        # 2-5 at m=12, so row 3 is key 11 of the second point
+        degenerate_pursuit(monkeypatch, row=3)
+        with pytest.raises(TrialError) as info:
+            montecarlo._count_successes(20, 2, SignalCase.flat(), 0, 5, (10, 12), 8, 6)
+        assert (info.value.m, info.value.trial_index) == (12, 11)
+        assert "trial 11 failed at m=12, K=2" in str(info.value)
 
     def test_crosses_the_process_pool(self, monkeypatch):
         # workers inherit the patched module; the parent must get the

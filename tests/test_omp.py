@@ -231,18 +231,30 @@ class TestCheckExactRecovery:
         assert check_exact_recovery(self._result(off), truth)
 
 
+def _support_first(A, x):
+    """(support columns, their nonzeros, off-support block) of a dense
+    instance: the block's rows are the other columns in index order."""
+    support = np.flatnonzero(x)
+    off = np.ones(A.shape[1], dtype=bool)
+    off[support] = False
+    return A[:, support], x[support], A[:, off].T
+
+
 class TestRecoversStack:
-    """The stacked pursuit decides each row as run_omp plus the check do."""
+    """recovers_stack decides each row as run_omp plus the check do on
+    ``[support | off^T]``."""
 
     @staticmethod
-    def _reference(stack, truths, sparsity):
-        return [
-            check_exact_recovery(
-                run_omp(SensingMatrix(A), A @ x, sparsity),
-                SparseSignal(x, np.flatnonzero(x)),
+    def _reference(support, values, blocks):
+        decisions = []
+        for R, x_s, block in zip(support, values, blocks):
+            A = np.hstack([R, block.T])
+            x = np.concatenate([x_s, np.zeros(block.shape[0])])
+            result = run_omp(SensingMatrix(A), A @ x, x_s.size)
+            decisions.append(
+                check_exact_recovery(result, SparseSignal(x, np.arange(x_s.size)))
             )
-            for A, x in zip(stack, truths)
-        ]
+        return decisions
 
     @pytest.mark.parametrize(
         "case", [SignalCase.flat(), SignalCase.gaussian(1.0)], ids=lambda c: c.label()
@@ -250,23 +262,60 @@ class TestRecoversStack:
     def test_matches_run_omp_on_random_instances(self, case):
         # m=18, K=5: 13 (flat) and 33 (gauss) of the 60 rows recover
         instances = [_random_instance(seed, 18, 40, 5, case) for seed in range(60)]
-        stack = np.stack([mat.entries for mat, _, _ in instances])
-        truths = np.stack([signal.values for _, signal, _ in instances])
-        want = self._reference(stack, truths, 5)
-        assert recovers_stack(stack, truths, 5).tolist() == want
+        support, values, blocks = zip(
+            *(_support_first(mat.entries, signal.values) for mat, signal, _ in instances)
+        )
+        support, values = np.stack(support), np.stack(values)
+        want = self._reference(support, values, blocks)
+        assert recovers_stack(support, values, blocks).tolist() == want
         assert 10 <= sum(want) <= 50
 
     def test_tie_breaks_to_smallest_index(self):
-        # row 0: the tie of test_tie_breaks... picks column 0, which
-        # recovers x = e_0; row 1 puts the truth on column 1 of the tie,
-        # so the pick of column 0 is wrong
+        # K=1: the off-support copy of the support column ties at the
+        # first pick, and the support column, with the smaller index,
+        # wins; one ulp more and the copy wins, so the pick is wrong
         col = np.array([1.0, 1.0]) / np.sqrt(2)
         other = np.array([1.0, -1.0]) / np.sqrt(2)
-        A = np.column_stack([col, col, other])
-        stack = np.stack([A, A])
-        truths = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        assert recovers_stack(stack, truths, 1).tolist() == [True, False]
-        assert self._reference(stack, truths, 1) == [True, False]
+        support = np.stack([col[:, None], col[:, None]])
+        values = np.ones((2, 1))
+        blocks = [np.stack([col, other]), np.stack([np.nextafter(col, 2.0), other])]
+        assert recovers_stack(support, values, blocks).tolist() == [True, False]
+        assert self._reference(support, values, blocks) == [True, False]
+
+    def test_exact_tie_with_a_later_winning_column(self):
+        # x = (1, 3, 2) on e_0, e_1, e_2 of R^4: the path picks column 1
+        # (c = 3), then column 2 (c = 2), then column 0 (c = 1), all in
+        # exact arithmetic.  The off-support e_2 ties with the second
+        # winner and loses, as under run_omp; scaled by 1 + 2^-52 it
+        # wins and takes column 2's place.  The 5 e_3 is orthogonal to
+        # every residual.
+        support = np.stack([np.eye(4, 3)] * 2)
+        values = np.array([[1.0, 3.0, 2.0]] * 2)
+        tie = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 5.0]])
+        beat = tie.copy()
+        beat[0, 2] = 1.0 + 2.0**-52
+        blocks = [tie, beat]
+        assert self._reference(support, values, blocks) == [True, False]
+        assert recovers_stack(support, values, blocks).tolist() == [True, False]
+
+    def test_row_alone_equals_row_in_stack(self):
+        # reduced trials near the transition (m=60, K=10, n=256): every
+        # row of a 256-row stack is decided as it is on its own
+        rng = np.random.default_rng(12)
+        m, n, K, rows = 60, 256, 10, 256
+        support = np.triu(rng.standard_normal((rows, K, K)), 1) / np.sqrt(m)
+        diagonal = np.arange(K)
+        support[:, diagonal, diagonal] = np.sqrt(rng.chisquare(m - diagonal, (rows, K)) / m)
+        values = rng.standard_normal((rows, K))
+        blocks = rng.standard_normal((rows, n - K, K)) / np.sqrt(m)
+        stacked = recovers_stack(support, values, blocks)
+        alone = [
+            recovers_stack(support[s : s + 1], values[s : s + 1], blocks[s : s + 1])[0]
+            for s in range(rows)
+        ]
+        assert stacked.tolist() == alone
+        assert 0 < sum(alone) < rows
+        assert alone[:32] == self._reference(support[:32], values[:32], blocks[:32])
 
     def test_degenerate_row_identified(self):
         # row 1 is test_degenerate_selection_identified's duplicate pair
@@ -275,10 +324,10 @@ class TestRecoversStack:
         # stacked pursuit has no early stop.)
         a = np.array([1.0, 0.0, 0.0])
         healthy = np.column_stack([a, [0.0, 1.0, 0.0]])
-        stack = np.stack([healthy, np.column_stack([a, 2.0 * a]), healthy])
-        truths = np.ones((3, 2))
+        support = np.stack([healthy, np.column_stack([a, 2.0 * a]), healthy])
+        values = np.ones((3, 2))
         with pytest.raises(DegenerateColumnError) as info:
-            recovers_stack(stack, truths, 2)
+            recovers_stack(support, values, [np.zeros((1, 3))] * 3)
         assert (info.value.iteration, info.value.index, info.value.row) == (2, 0, 1)
 
     def test_error_pickles_with_its_row(self):
@@ -287,15 +336,20 @@ class TestRecoversStack:
         assert str(err) == str(DegenerateColumnError(3, 17))
 
     def test_shape_validation(self):
-        stack = np.zeros((2, 4, 6))
+        support = np.stack([np.eye(4, 2)] * 2)
+        blocks = [np.zeros((3, 4))] * 2
         with pytest.raises(ValueError):
-            recovers_stack(stack[0], np.zeros((2, 6)), 2)
+            recovers_stack(support[0], np.ones((2, 2)), blocks)
         with pytest.raises(ValueError):
-            recovers_stack(stack, np.zeros((2, 4)), 2)
+            recovers_stack(support, np.ones((2, 3)), blocks)
         with pytest.raises(ValueError):
-            recovers_stack(stack, np.zeros((2, 6)), 0)
+            recovers_stack(np.zeros((2, 2, 3)), np.ones((2, 3)), blocks)
         with pytest.raises(ValueError):
-            recovers_stack(stack, np.zeros((2, 6)), 5)
+            recovers_stack(support, np.ones((2, 2)), blocks[:1])
+        with pytest.raises(ValueError):
+            recovers_stack(support, np.ones((2, 2)), blocks * 2)
+        with pytest.raises(ValueError):
+            recovers_stack(support, np.ones((2, 2)), [np.zeros((3, 5))] * 2)
 
 
 class TestBruteForce:

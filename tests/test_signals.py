@@ -14,6 +14,7 @@ from omp_lab.signals import (
     generate_signal,
     sample_sensing_matrix,
     sample_support,
+    signal_nonzeros,
 )
 
 
@@ -199,3 +200,18 @@ class TestGenerateSignal:
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError):
             generate_signal(5, [], SignalCase.flat(), StreamKey(0))
+
+    @pytest.mark.parametrize(
+        "case",
+        [SignalCase.flat(), SignalCase.decaying(1.2), SignalCase.gaussian(2.0)],
+        ids=lambda c: c.label(),
+    )
+    def test_nonzeros_are_the_values_on_the_support(self, case):
+        key = StreamKey(5, 9, Purpose.SIGNAL)
+        values = signal_nonzeros(4, case, key)
+        signal = generate_signal(12, [1, 3, 8, 11], case, key)
+        assert values.tobytes() == signal.values[[1, 3, 8, 11]].tobytes()
+
+    def test_nonzeros_need_k(self):
+        with pytest.raises(ValueError):
+            signal_nonzeros(0, SignalCase.flat(), StreamKey(0))
