@@ -65,9 +65,9 @@ Trial ``t`` of grid point ``g`` always uses
 ``StreamKey(master_seed, g * trials + t)``, so its outcome is a pure
 function of the config and the key, whoever decides it.  The points of
 one (case, K) row of the grid differ only in m and have consecutive
-keys, so a task is a run of at most ``max(1, 2 MiB // (8 K K))``
-consecutive keys of one row (291 at K = 30, 1165 at K = 15), and may
-cross point boundaries.  The task list depends on the config alone, not
+keys, so a task is a run of at most
+``max(1, min(256, 2 MiB // (8 K K)))`` consecutive keys of one row
+(256 up to K = 32, 64 at K = 64), and may cross point boundaries.  The task list depends on the config alone, not
 on the worker count.  :func:`~omp_lab.omp.recovers_stack` keeps its
 rows apart, so a trial's decision does not depend on the other trials
 of its task either.  Each task returns its success counts per point,
@@ -119,8 +119,15 @@ SAMPLER = "reduced-bartlett"
 # the level of every Wilson interval.
 _Z95 = 1.9599639845400536
 
-# Byte budget of one task's stack of K-by-K support blocks.
+# Byte budget of one task's stack of K-by-K support blocks.  It sets a
+# trial count, not the task's memory: the support path's basis, factor
+# and residuals are each as large again, and every trial keeps its
+# generator (a 256-trial task at K = 30 peaks near 8 MiB).
 _STACK_BYTES = 2 * 1024 * 1024
+
+# Most trials per task.  Larger tasks decide a trial no faster, and
+# would leave a grid of few (case, K) rows fewer tasks than workers.
+_MAX_STACK = 256
 
 # Largest m accepted by run_trial; keeps a typo'd config from trying to
 # allocate a multi-gigabyte matrix.
@@ -278,8 +285,9 @@ def sample_reduced_trial(
 
 
 def _stack_size(K: int) -> int:
-    """Trials per task: as many K-by-K float64 blocks as fit the budget."""
-    return max(1, _STACK_BYTES // (8 * K * K))
+    """Trials per task: as many K-by-K float64 blocks as fit the budget,
+    up to ``_MAX_STACK``."""
+    return max(1, min(_MAX_STACK, _STACK_BYTES // (8 * K * K)))
 
 
 def _draw_trials(

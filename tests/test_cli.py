@@ -34,6 +34,20 @@ def _polyline_count(path):
     return len(ET.fromstring(_read(path)).findall(f".//{_SVG_NS}polyline"))
 
 
+def _recording_pool(monkeypatch):
+    """Record the ``max_workers`` of each process pool that simulate
+    starts; the pools still run their tasks in worker processes."""
+    made = []
+
+    class RecordingPool(montecarlo.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    return made
+
+
 def _sim_args(out_dir, *extra):
     return [
         "simulate",
@@ -121,12 +135,16 @@ class TestSimulateCommand:
         assert _read(a / "results.csv") == _read(b / "results.csv")
         assert _read(a / "results.json") == _read(b / "results.json")
 
-    def test_thread_count_does_not_change_output(self, tmp_path):
+    def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch):
+        # two (case, K) rows make two tasks, so --threads 3 runs a pool
+        # of two worker processes
+        made = _recording_pool(monkeypatch)
         a, b = tmp_path / "a", tmp_path / "b"
-        assert main(_sim_args(a)) == EXIT_OK
-        args = _sim_args(b)
+        assert main(_sim_args(a, "--case", "gauss")) == EXIT_OK
+        args = _sim_args(b, "--case", "gauss")
         args[args.index("--threads") + 1] = "3"
         assert main(args) == EXIT_OK
+        assert made == [2]
         assert _read(a / "results.csv") == _read(b / "results.csv")
 
     def test_svg_per_k_case(self, tmp_path):
@@ -144,9 +162,12 @@ class TestSimulateCommand:
             raise DegenerateColumnError(1, 0)
 
         monkeypatch.setattr(montecarlo, "recovers_stack", degenerate)
-        args = _sim_args(tmp_path)
+        made = _recording_pool(monkeypatch)
+        # two (case, K) rows make two tasks, so --threads 2 crosses a pool
+        args = _sim_args(tmp_path, "--case", "gauss")
         args[args.index("--threads") + 1] = threads
         assert main(args) == EXIT_RUNTIME
+        assert made == ([] if threads == "1" else [2])
         assert "trial failure: trial 0 failed at m=24, K=3" in capsys.readouterr().err
 
     def test_needs_m(self):

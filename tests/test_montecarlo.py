@@ -283,10 +283,13 @@ class TestReducedTrial:
             assert values[s].tobytes() == x_s.tobytes()
 
     def test_stack_size_from_byte_budget(self):
-        assert montecarlo._stack_size(30) == 291
-        assert montecarlo._stack_size(15) == 1165
+        # at most 256 trials; the 2 MiB budget binds from K = 33 on
+        for K in (3, 15, 30, 32):
+            assert montecarlo._stack_size(K) == 256
+        assert montecarlo._stack_size(33) == 240
+        assert montecarlo._stack_size(64) == 64
         assert montecarlo._stack_size(1000) == 1
-        for K in (30, 15, 3):
+        for K in (33, 64, 100):
             assert 8 * K * K * montecarlo._stack_size(K) <= 2 * 1024 * 1024
 
     def test_task_across_a_point_boundary(self):
@@ -480,7 +483,7 @@ class TestRunExperiment:
         assert made == pool_sizes
 
     def test_tasks_and_tallies_independent_of_workers(self, monkeypatch):
-        # K=3 stacks hold 29127 trials and K=100 stacks 26, so a row of
+        # K=3 stacks hold 256 trials and K=100 stacks 26, so a row of
         # two 20-trial points is one task at K=3 and 26 + 14 at K=100,
         # whose first task crosses the boundary between the points
         _inline_pool(monkeypatch)
