@@ -49,6 +49,7 @@ Why sampling ``(R, G)`` directly is exact:
   off-support columns ``a_j ~ N(0, I/m)``.  For any fixed orthonormal
   ``Q``, ``Q^T a_j ~ N(0, I_K/m)``, so ``G`` has i.i.d. N(0, 1/m)
   entries and is independent of ``R`` (Tropp & Gilbert, IEEE T-IT 2007).
+  So ``G`` is drawn as ``Z / sqrt(m)`` with ``Z`` standard normal.
 
 A trial thus draws ``K^2 + (n - K) K`` normals and ``K`` chi-squares
 instead of ``m n`` normals, and runs in ``O(n K^2)`` instead of
@@ -59,18 +60,36 @@ tests compare with, pathwise (the decision on ``(R, G)`` computed from
 a dense ``A`` equals ``run_trial`` on that ``A``) and in distribution
 (tallies agree).
 
+Common random numbers
+---------------------
+The points of one (case, K) row of the grid differ only in m, and only
+``R`` and the scale of ``G`` depend on m.  So trial ``t`` of a row draws
+``Z_t`` and the nonzeros ``x_t`` once and shares them across the row's
+m values, with ``G = Z_t / sqrt(m)`` at each; only ``R`` is drawn per
+point.  Each point's trials keep exactly the law above and stay
+independent of one another.  Points of one row share ``Z_t`` and
+``x_t``, so their tallies are positively correlated, which leaves each
+point's Wilson interval as it was but makes differences along a row
+less noisy.  The row draws ``(n - K) K`` off-support normals per trial
+index, not per trial.
+
 Determinism
 -----------
-Trial ``t`` of grid point ``g`` always uses
-``StreamKey(master_seed, g * trials + t)``, so its outcome is a pure
-function of the config and the key, whoever decides it.  The points of
-one (case, K) row of the grid differ only in m and have consecutive
-keys, so a task is a run of at most
-``max(1, min(256, 2 MiB // (8 K K)))`` consecutive keys of one row
-(256 up to K = 32, 64 at K = 64), and may cross point boundaries.  The task list depends on the config alone, not
-on the worker count.  :func:`~omp_lab.omp.recovers_stack` keeps its
-rows apart, so a trial's decision does not depend on the other trials
-of its task either.  Each task returns its success counts per point,
+Let row ``r`` be the grid's ``r``-th (case, K) row and ``g`` the grid
+index of the point at ``m_values[j]`` on it, ``g = r * len(m_values) +
+j``.  Trial ``t`` of that point draws ``Z_t`` and ``x_t`` from the
+``MATRIX`` and ``SIGNAL`` streams of ``StreamKey(master_seed, r * trials
++ t)`` and ``R`` from ``StreamKey(master_seed, g * trials + t,
+Purpose.FACTOR)``, a stream that no other draw of the run shares.  So
+its outcome is a pure function of the config and these keys, whoever
+decides it.  A task is the trial indices ``[t0, t0 + c)`` of one row
+taken at all of the row's m values, with ``c = max(1, S //
+len(m_values))`` and ``S = max(1, min(256, 2 MiB // (8 K K)))`` (256 up
+to K = 32, 64 at K = 64); its stack rows run over t, and over m within
+each t.  The task list depends on the config alone, not on the worker
+count.  :func:`~omp_lab.omp.recovers_stack` keeps its rows apart, so a
+trial's decision does not depend on the other trials of its task
+either.  Each task returns its success counts per point of its row,
 and counts are summed, which is associative and commutative, so
 spreading the tasks across processes cannot change any result.
 """
@@ -121,8 +140,10 @@ _Z95 = 1.9599639845400536
 
 # Byte budget of one task's stack of K-by-K support blocks.  It sets a
 # trial count, not the task's memory: the support path's basis, factor
-# and residuals are each as large again, and every trial keeps its
-# generator (a 256-trial task at K = 30 peaks near 8 MiB).
+# and residuals are each as large again.  No stream is kept: the
+# off-support normals of each trial index are drawn only when the
+# pursuit reads them, into two reused buffers (a 256-trial task at
+# K = 30 peaks near 8 MiB).
 _STACK_BYTES = 2 * 1024 * 1024
 
 # Most trials per task.  Larger tasks decide a trial no faster, and
@@ -258,18 +279,26 @@ def run_trial(
 
 
 def sample_reduced_trial(
-    m: int, n: int, K: int, case: SignalCase, key: StreamKey
+    m: int,
+    n: int,
+    K: int,
+    case: SignalCase,
+    key: StreamKey,
+    factor_index: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw ``(R, G, x_S)`` of one reduced trial, as a task draws it.
 
-    See the module docstring.  From the ``Purpose.MATRIX`` stream of
-    ``key``, in this order: the strictly upper part of the K-by-K
-    Bartlett factor ``R`` (N(0, 1/m)), its diagonal
-    ``sqrt(chi2_{m-i} / m)`` for ``i = 0..K-1``, and the (n-K)-by-K
-    off-support block ``G`` (N(0, 1/m)).  ``x_S`` holds the case's K
+    See the module docstring.  The K-by-K Bartlett factor ``R`` comes
+    from ``StreamKey(key.master_seed, factor_index, Purpose.FACTOR)``
+    (``factor_index`` defaults to ``key.trial_index``): first its strictly
+    upper part (N(0, 1/m)), then its diagonal ``sqrt(chi2_{m-i} / m)``
+    for ``i = 0..K-1``.  The (n-K)-by-K off-support block is
+    ``G = Z * (1 / sqrt(m))`` with ``Z`` standard normal from the
+    ``Purpose.MATRIX`` stream of ``key``.  ``x_S`` holds the case's K
     nonzeros (:func:`~omp_lab.signals.signal_nonzeros`); Gaussian values
     come from the ``Purpose.SIGNAL`` stream, so they equal the dense
-    trial's nonzeros for the same key.
+    trial's nonzeros for the same key.  In a run, ``key`` is the row's
+    key of the trial and ``factor_index`` the point's.
 
     Raises
     ------
@@ -278,15 +307,17 @@ def sample_reduced_trial(
     """
     if not 1 <= K < min(m, n):
         raise ValueError(f"need 1 <= K < min(m, n), got K={K}, m={m}, n={n}")
+    if factor_index is None:
+        factor_index = key.trial_index
     support, values, off = _draw_trials(
-        n, K, case, key.master_seed, key.trial_index, (m,)
+        n, K, case, key.master_seed, (m,), [key.trial_index], [[factor_index]]
     )
     return support[0], next(off).copy(), values[0]
 
 
 def _stack_size(K: int) -> int:
-    """Trials per task: as many K-by-K float64 blocks as fit the budget,
-    up to ``_MAX_STACK``."""
+    """Trials (stack rows) per task: as many K-by-K float64 blocks as fit
+    the budget, up to ``_MAX_STACK``."""
     return max(1, min(_MAX_STACK, _STACK_BYTES // (8 * K * K)))
 
 
@@ -295,40 +326,50 @@ def _draw_trials(
     K: int,
     case: SignalCase,
     master_seed: int,
-    first_trial: int,
-    trial_ms: Sequence[int],
+    ms: Sequence[int],
+    keys: Sequence[int],
+    factor_keys: Sequence[Sequence[int]],
 ) -> Tuple[np.ndarray, np.ndarray, Iterator[np.ndarray]]:
-    """Draw consecutive keyed reduced trials; trial ``first_trial + s``
-    has ``m = trial_ms[s]``.
+    """Draw the reduced trials of trial keys ``keys`` at every m of
+    ``ms``; stack row ``t * len(ms) + j`` is key ``keys[t]`` at
+    ``m = ms[j]``, with factor index ``factor_keys[t][j]``.
 
-    Returns the ``(S, K, K)`` stack of factors ``R``, the ``(S, K)``
-    nonzeros, and an iterator over the trials' ``G`` blocks, drawn as
-    :func:`sample_reduced_trial` describes.  Each trial's stream is kept
-    after its ``R``, and the iterator draws each ``G`` into one reused
-    buffer, so a block is valid only until the next one is drawn.
+    Returns the stack of factors ``R``, the nonzeros, and an iterator
+    over the rows' ``G`` blocks, drawn as :func:`sample_reduced_trial`
+    describes.  ``Z`` and the nonzeros are drawn once per key.  The
+    iterator draws each key's ``Z`` when it reaches the key's first row
+    and writes ``Z * (1 / sqrt(m))`` into a reused buffer, the last m's
+    into ``Z``'s own, so a block is valid only until the next one is
+    yielded.
     """
     diagonal = np.arange(K)
-    support = np.empty((len(trial_ms), K, K))
-    values = np.empty((len(trial_ms), K))
-    streams = []
-    for s, m in enumerate(trial_ms):
-        scale = 1.0 / math.sqrt(m)
-        stream = StreamKey(master_seed, first_trial + s, Purpose.MATRIX).generator()
-        support[s] = np.triu(stream.standard_normal((K, K)), 1) * scale
-        support[s, diagonal, diagonal] = np.sqrt(stream.chisquare(m - diagonal) / m)
-        values[s] = signal_nonzeros(
-            K, case, StreamKey(master_seed, first_trial + s, Purpose.SIGNAL)
-        )
-        streams.append((stream, scale))
+    lower = np.tril_indices(K, -1)
+    scales = [1.0 / math.sqrt(m) for m in ms]
+    support = np.empty((len(keys), len(ms), K, K))
+    values = np.empty((len(keys), len(ms), K))
+    for t, key in enumerate(keys):
+        values[t] = signal_nonzeros(K, case, StreamKey(master_seed, key, Purpose.SIGNAL))
+        for j, m in enumerate(ms):
+            stream = StreamKey(master_seed, factor_keys[t][j], Purpose.FACTOR).generator()
+            R = support[t, j]
+            stream.standard_normal(out=R)
+            R *= scales[j]
+            R[lower] = 0.0
+            R[diagonal, diagonal] = np.sqrt(stream.chisquare(m - diagonal) / m)
 
     def off() -> Iterator[np.ndarray]:
+        normals = np.empty((n - K, K))
         block = np.empty((n - K, K))
-        for stream, scale in streams:
-            stream.standard_normal(out=block)
-            block *= scale
-            yield block
+        for key in keys:
+            stream = StreamKey(master_seed, key, Purpose.MATRIX).generator()
+            stream.standard_normal(out=normals)
+            for scale in scales[:-1]:
+                np.multiply(normals, scale, out=block)
+                yield block
+            normals *= scales[-1]
+            yield normals
 
-    return support, values, off()
+    return support.reshape(-1, K, K), values.reshape(-1, K), off()
 
 
 def _count_successes(
@@ -338,28 +379,28 @@ def _count_successes(
     master_seed: int,
     trials: int,
     ms: Tuple[int, ...],
+    row: int,
     first_trial: int,
     count: int,
 ) -> Tuple[int, ...]:
-    """Decide keyed trials ``first_trial .. first_trial + count - 1`` of
-    one (case, K) row as one stack; return the successes of each grid
-    point they touch.
+    """Decide trials ``first_trial .. first_trial + count - 1`` of every
+    point of (case, K) row ``row`` as one stack; return the successes of
+    each point, aligned with ``ms``.
 
-    Key ``i`` belongs to grid point ``i // trials``, and ``ms`` lists
-    the m of each point the range touches, in order; the counts are
-    aligned with it.  Top-level so process pools can pickle it.
+    The keys are the module docstring's.  Top-level so process pools can
+    pickle it.
     """
-    first_point = first_trial // trials
-    points = np.arange(first_trial, first_trial + count) // trials - first_point
-    trial_ms = [ms[p] for p in points]
-    support, values, off = _draw_trials(n, K, case, master_seed, first_trial, trial_ms)
+    t = np.arange(first_trial, first_trial + count)
+    keys = row * trials + t
+    points = row * len(ms) + np.arange(len(ms))
+    factor_keys = points * trials + t[:, None]
+    support, values, off = _draw_trials(n, K, case, master_seed, ms, keys, factor_keys)
     try:
         recovered = recovers_stack(support, values, off)
     except DegenerateColumnError as err:
-        raise TrialError(
-            trial_ms[err.row], K, case, first_trial + err.row, err
-        ) from err
-    return tuple(int(c) for c in np.bincount(points[recovered], minlength=len(ms)))
+        s, j = divmod(err.row, len(ms))
+        raise TrialError(ms[j], K, case, int(factor_keys[s, j]), err) from err
+    return tuple(int(c) for c in recovered.reshape(count, len(ms)).sum(axis=0))
 
 
 @dataclass(frozen=True)
@@ -428,34 +469,33 @@ def run_experiment(
 ) -> ExperimentResult:
     """Sweep the config's grid and tally recoveries at every point.
 
-    The whole grid is one task queue.  Each (case, K) row's keyed
-    trials are split into runs of at most ``_stack_size(K)`` consecutive
-    trials, whatever ``workers`` is, and each run is one task, which may
-    span several points of the row.  The tasks are mapped in grid order,
-    in this process when ``workers == 1`` and over a process pool of
-    ``min(workers, tasks)`` processes otherwise.  Meanwhile the parent
-    evaluates every point's bounds, each once per distinct argument set:
-    ``baseline_bound`` per (m, K), ``disparity_bound`` per (m, K, phi).
-    Tallies are then reduced in grid order, and ``progress`` is called
-    with ``(points_done, points_total, result)`` as soon as a point's
-    last task is in, while the pool works on later tasks.  Per-trial
-    keyed streams make the result identical for every worker count.  A
-    failing trial raises its ``TrialError`` here and cancels the tasks
-    not yet started.
+    The whole grid is one task queue.  Each (case, K) row's trial
+    indices are split into runs of at most ``max(1, _stack_size(K) //
+    len(m_values))``, whatever ``workers`` is, and each run, taken at
+    all of the row's m values, is one task.  The tasks are mapped in
+    grid order, in this process when ``workers == 1`` and over a process
+    pool of ``min(workers, tasks)`` processes otherwise.  Meanwhile the
+    parent evaluates every point's bounds, each once per distinct
+    argument set: ``baseline_bound`` per (m, K), ``disparity_bound`` per
+    (m, K, phi).  Tallies are then reduced in grid order, and
+    ``progress`` is called with ``(points_done, points_total, result)``
+    for each point of a row as soon as the row's last task is in, while
+    the pool works on later tasks.  Per-trial keyed streams make the
+    result identical for every worker count.  A failing trial raises its
+    ``TrialError`` here and cancels the tasks not yet started.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     grid = list(config.grid_points())
-    trials, row_points = config.trials, len(config.m_values)
+    trials, ms = config.trials, config.m_values
     tasks = []
-    for row in range(0, len(grid), row_points):
-        case, K, _ = grid[row]
-        row_end = (row + row_points) * trials
-        for first in range(row * trials, row_end, _stack_size(K)):
-            end = min(first + _stack_size(K), row_end)
-            ms = config.m_values[first // trials - row : (end - 1) // trials - row + 1]
+    for row in range(len(grid) // len(ms)):
+        case, K, _ = grid[row * len(ms)]
+        step = max(1, _stack_size(K) // len(ms))
+        for first in range(0, trials, step):
+            count = min(step, trials - first)
             tasks.append(
-                (config.n, K, case, config.master_seed, trials, ms, first, end - first)
+                (config.n, K, case, config.master_seed, trials, ms, row, first, count)
             )
     baseline = functools.cache(
         lambda m, K: bounds.baseline_bound(m, config.n, K).value
@@ -475,11 +515,12 @@ def run_experiment(
             for case, K, m in grid
         ]
         for task, counts in zip(tasks, tallies):
-            first, count = task[-2:]
-            for g, c in enumerate(counts, first // trials):
+            row, first, count = task[-3:]
+            for g, c in enumerate(counts, row * len(ms)):
                 successes[g] += c
-            while len(points) < (first + count) // trials:
-                g = len(points)
+            if first + count < trials:
+                continue
+            for g in range(row * len(ms), (row + 1) * len(ms)):
                 case, K, m = grid[g]
                 point = PointResult(
                     m=m,

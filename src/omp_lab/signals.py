@@ -39,23 +39,42 @@ _MAX_KEY_WORD = 2**64
 
 
 class Purpose(enum.IntEnum):
-    """Role of a random substream; part of the stream-derivation key."""
+    """Role of a random substream; part of the stream-derivation key.
+
+    ``FACTOR`` keys the Bartlett factor of a reduced trial's support
+    columns (see :mod:`omp_lab.montecarlo`); ``MATRIX`` keys a dense
+    matrix or a reduced trial's off-support block.
+    """
 
     MATRIX = 0
     SUPPORT = 1
     SIGNAL = 2
     PHI_VALIDATION = 3
+    FACTOR = 4
 
 
 @dataclass(frozen=True)
 class StreamKey:
     """Key identifying one reproducible random substream.
 
-    Distinct ``(master_seed, trial_index, purpose)`` triples map to
-    statistically independent streams.  The triple (plus any extra words
-    supplied to :meth:`generator`) is fed through
-    ``numpy.random.SeedSequence``, whose entropy mixing is fixed and
-    platform-independent, and the resulting stream is PCG64.
+    The key's words are fed through ``numpy.random.SeedSequence``, whose
+    entropy mixing is fixed and platform-independent, and the resulting
+    stream is PCG64.  The words are those of ``master_seed``, then of
+    ``trial_index`` (one 32-bit word below ``2**32``, two from there on,
+    low word first), then ``purpose``, then any extra words supplied to
+    :meth:`generator`.  SeedSequence pads that list with zero words to
+    four, so two keys whose lists agree after the padding share a
+    stream.
+
+    What this guarantees: among keys of one ``master_seed``, or of seeds
+    all below ``2**32``, distinct ``(trial_index, purpose, *extra)`` with
+    ``trial_index < 2**32`` give distinct entropy and so independent
+    streams.  That is why :meth:`generator` takes only extra words in
+    ``[1, 2**32)``: a word of 0 would vanish in the padding, and a wider
+    one would split in two.  Across seeds of ``2**32`` and more it does
+    not hold: ``StreamKey(2**32 * h + l, 0)`` is ``StreamKey(l, h)``, and
+    ``StreamKey(2**32 * h + l, i, p)`` is
+    ``StreamKey(l, h, i).generator(p)`` for a purpose ``i`` and ``p >= 1``.
 
     Parameters
     ----------
@@ -89,7 +108,16 @@ class StreamKey:
 
         Optional ``extra`` integer words derive inner substreams (e.g. one
         per dimension in a sweep) without constructing new keys.
+
+        Raises
+        ------
+        ValueError
+            If an extra word is outside ``[1, 2**32)``; see the class
+            docstring.
         """
+        for word in extra:
+            if not 1 <= word < 2**32:
+                raise ValueError(f"extra words must be in [1, 2**32), got {word}")
         entropy = [self.master_seed, self.trial_index, int(self.purpose), *extra]
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 

@@ -269,18 +269,54 @@ class TestReducedTrial:
 
     @pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.label())
     def test_stack_rows_equal_one_trial_sampler(self, case):
-        # trials 40..44, the last three at a larger m, as a task that
-        # crosses a point boundary draws them
-        trial_ms = (50, 50, 60, 60, 60)
-        support, values, off = montecarlo._draw_trials(128, 6, case, 8, 40, trial_ms)
-        assert support.shape == (5, 6, 6) and values.shape == (5, 6)
+        # trial keys 40 and 41 at three m values, rows ordered (key, m),
+        # each row with its own factor index
+        ms, keys = (50, 60, 70), (40, 41)
+        factor_keys = [[100 + 10 * j + t for j in range(3)] for t in range(2)]
+        support, values, off = montecarlo._draw_trials(
+            128, 6, case, 8, ms, keys, factor_keys
+        )
+        assert support.shape == (6, 6, 6) and values.shape == (6, 6)
         blocks = [block.copy() for block in off]
-        assert len(blocks) == 5
-        for s, m in enumerate(trial_ms):
-            R, G, x_s = sample_reduced_trial(m, 128, 6, case, StreamKey(8, 40 + s))
-            assert support[s].tobytes() == R.tobytes()
-            assert blocks[s].tobytes() == G.tobytes()
-            assert values[s].tobytes() == x_s.tobytes()
+        assert len(blocks) == 6
+        for t, key in enumerate(keys):
+            for j, m in enumerate(ms):
+                R, G, x_s = sample_reduced_trial(
+                    m, 128, 6, case, StreamKey(8, key), factor_keys[t][j]
+                )
+                s = t * len(ms) + j
+                assert support[s].tobytes() == R.tobytes()
+                assert blocks[s].tobytes() == G.tobytes()
+                assert values[s].tobytes() == x_s.tobytes()
+
+    def test_row_shares_normals_and_nonzeros_across_m(self, monkeypatch):
+        # trials 3 and 4 of row 1 at four m values: at each m, trial t's
+        # block is Z_t * (1/sqrt(m)) bit for bit, with Z_t from the row's
+        # MATRIX key r * trials + t; its x rows are equal; its R's differ
+        stacks = []
+
+        def record(support, values, off):
+            stacks.append((support.copy(), values.copy(), [b.copy() for b in off]))
+            return np.zeros(len(support), dtype=bool)
+
+        monkeypatch.setattr(montecarlo, "recovers_stack", record)
+        ms, trials, row, first, count = (30, 40, 50, 60), 10, 1, 3, 2
+        case = SignalCase.gaussian(1.0)
+        counts = montecarlo._count_successes(
+            EQ_N, EQ_K, case, 5, trials, ms, row, first, count
+        )
+        assert counts == (0, 0, 0, 0)
+        ((support, values, blocks),) = stacks
+        assert len(support) == len(values) == len(blocks) == count * len(ms)
+        for i, t in enumerate(range(first, first + count)):
+            z = StreamKey(5, row * trials + t, Purpose.MATRIX).generator()
+            z = z.standard_normal((EQ_N - EQ_K, EQ_K))
+            rows = range(i * len(ms), (i + 1) * len(ms))
+            for s, m in zip(rows, ms):
+                assert blocks[s].tobytes() == (z * (1.0 / math.sqrt(m))).tobytes()
+                assert values[s].tobytes() == values[rows[0]].tobytes()
+            assert len({support[s].tobytes() for s in rows}) == len(ms)
+        assert not np.array_equal(values[0], values[len(ms)])
 
     def test_stack_size_from_byte_budget(self):
         # at most 256 trials; the 2 MiB budget binds from K = 33 on
@@ -293,43 +329,50 @@ class TestReducedTrial:
             assert 8 * K * K * montecarlo._stack_size(K) <= 2 * 1024 * 1024
 
     def test_task_across_a_point_boundary(self):
-        # keys 13..24 of a row with 5 trials per point: the last two
-        # trials of the point at m=24, all five at m=48 and at m=72
-        # (0, 2 and 5 successes); each trial is decided as run_omp on its
-        # B decides it
-        ms, trials, first, count = (24, 48, 72), 5, 13, 12
+        # trials 2..7 of row 1, 10 trials per point, at m = 24, 48 and 72
+        # (0, 1 and 6 successes): every trial is decided as run_omp on its
+        # [R_m | G_m^T] decides it, with the keys of the module docstring
+        ms, trials, row, first, count = (24, 48, 72), 10, 1, 2, 6
         case = SignalCase.flat()
         counts = montecarlo._count_successes(
-            EQ_N, EQ_K, case, 6, trials, ms, first, count
+            EQ_N, EQ_K, case, 6, trials, ms, row, first, count
         )
         want = [0, 0, 0]
-        for key in range(first, first + count):
-            p = key // trials - first // trials
-            trial = sample_reduced_trial(ms[p], EQ_N, EQ_K, case, StreamKey(6, key))
-            want[p] += _pursue(*trial)[1]
-        assert counts == tuple(want) == (0, 2, 5)
+        for t in range(first, first + count):
+            for j, m in enumerate(ms):
+                point = row * len(ms) + j
+                trial = sample_reduced_trial(
+                    m, EQ_N, EQ_K, case, StreamKey(6, row * trials + t),
+                    point * trials + t,
+                )
+                want[j] += _pursue(*trial)[1]
+        assert counts == tuple(want) == (0, 1, 6)
 
     @pytest.mark.slow
     def test_distribution_equal_to_dense(self):
         # Sampled trials against dense trials, independent seeds, 500 each
         # per grid point: a two-sided Fisher exact test per point,
-        # Bonferroni-corrected to a family-wise alpha of 1e-3.
+        # Bonferroni-corrected to a family-wise alpha of 1e-3.  Each case
+        # is one row over all of EQ_M, as run_experiment counts it, so
+        # its points share their off-support normals and nonzeros; the
+        # Bonferroni bound is a union bound and needs no independence
+        # between the points.
         trials = 500
-        points = [(m, case) for m in EQ_M for case in ALL_CASES]
-        alpha = 1e-3 / len(points)
+        alpha = 1e-3 / (len(EQ_M) * len(ALL_CASES))
         rates = []
-        for m, case in points:
-            (reduced,) = montecarlo._count_successes(
-                EQ_N, EQ_K, case, 31, trials, (m,), 0, trials
+        for row, case in enumerate(ALL_CASES):
+            reduced_row = montecarlo._count_successes(
+                EQ_N, EQ_K, case, 31, trials, EQ_M, row, 0, trials
             )
-            dense = sum(
-                run_trial(m, EQ_N, EQ_K, case, StreamKey(37, t))
-                for t in range(trials)
-            )
-            table = [[reduced, trials - reduced], [dense, trials - dense]]
-            p_value = fisher_exact(table, alternative="two-sided")[1]
-            assert p_value > alpha, (m, case.label(), reduced, dense, p_value)
-            rates.append(dense / trials)
+            for m, reduced in zip(EQ_M, reduced_row):
+                dense = sum(
+                    run_trial(m, EQ_N, EQ_K, case, StreamKey(37, t))
+                    for t in range(trials)
+                )
+                table = [[reduced, trials - reduced], [dense, trials - dense]]
+                p_value = fisher_exact(table, alternative="two-sided")[1]
+                assert p_value > alpha, (m, case.label(), reduced, dense, p_value)
+                rates.append(dense / trials)
         # the grid must cross the transition, or the test has no power
         assert min(rates) < 0.2 and max(rates) > 0.8
 
@@ -484,8 +527,8 @@ class TestRunExperiment:
 
     def test_tasks_and_tallies_independent_of_workers(self, monkeypatch):
         # K=3 stacks hold 256 trials and K=100 stacks 26, so a row of
-        # two 20-trial points is one task at K=3 and 26 + 14 at K=100,
-        # whose first task crosses the boundary between the points
+        # two 20-trial points is one task of 20 trial indices at K=3 and
+        # tasks of 13 and 7 at K=100, each taken at both m values
         _inline_pool(monkeypatch)
         real = montecarlo._count_successes
         runs = {}
@@ -504,13 +547,13 @@ class TestRunExperiment:
                 p.successes for p in run_experiment(config, workers=workers).points
             )
         assert runs[1] == runs[2] == runs[3]
-        assert [(t[5], *t[-2:]) for t in runs[1][0]] == [
-            ((110, 130), 0, 40),
-            ((110, 130), 40, 26),
-            ((130,), 66, 14),
-            ((110, 130), 80, 40),
-            ((110, 130), 120, 26),
-            ((130,), 146, 14),
+        assert [t[5:] for t in runs[1][0]] == [
+            ((110, 130), 0, 0, 20),
+            ((110, 130), 1, 0, 13),
+            ((110, 130), 1, 13, 7),
+            ((110, 130), 2, 0, 20),
+            ((110, 130), 3, 0, 13),
+            ((110, 130), 3, 13, 7),
         ]
 
 
@@ -545,29 +588,33 @@ def degenerate_pursuit(monkeypatch, row=0):
 
 class TestTrialError:
     def test_wraps_solver_failure_with_location(self, monkeypatch):
+        # trials 5..7 of row 0, one m: stack row 0 is trial 5 at m=10
         degenerate_pursuit(monkeypatch)
         with pytest.raises(TrialError) as info:
-            montecarlo._count_successes(20, 2, SignalCase.flat(), 0, 10, (10,), 5, 3)
+            montecarlo._count_successes(20, 2, SignalCase.flat(), 0, 10, (10,), 0, 5, 3)
         err = info.value
         assert (err.m, err.K, err.trial_index) == (10, 2, 5)
         assert err.case == SignalCase.flat()
         assert "trial 5" in str(err)
 
     def test_names_the_failing_row_of_the_stack(self, monkeypatch):
+        # stack row 2 of trials 5..7 at one m is trial 7
         degenerate_pursuit(monkeypatch, row=2)
         with pytest.raises(TrialError) as info:
-            montecarlo._count_successes(20, 2, SignalCase.flat(), 0, 10, (10,), 5, 3)
+            montecarlo._count_successes(20, 2, SignalCase.flat(), 0, 10, (10,), 0, 5, 3)
         assert info.value.trial_index == 7
         assert info.value.cause.row == 2
 
     def test_names_the_point_of_a_row_across_a_boundary(self, monkeypatch):
-        # keys 8..13 with 5 trials per point: rows 0-1 are at m=10, rows
-        # 2-5 at m=12, so row 3 is key 11 of the second point
-        degenerate_pursuit(monkeypatch, row=3)
+        # trials 1..3 of row 1 at m = 10, 12, 14 with 5 trials per point:
+        # stack row 4 is trial 2 at m=12, grid point 4, so key 4 * 5 + 2
+        degenerate_pursuit(monkeypatch, row=4)
         with pytest.raises(TrialError) as info:
-            montecarlo._count_successes(20, 2, SignalCase.flat(), 0, 5, (10, 12), 8, 6)
-        assert (info.value.m, info.value.trial_index) == (12, 11)
-        assert "trial 11 failed at m=12, K=2" in str(info.value)
+            montecarlo._count_successes(
+                20, 2, SignalCase.flat(), 0, 5, (10, 12, 14), 1, 1, 3
+            )
+        assert (info.value.m, info.value.trial_index) == (12, 22)
+        assert "trial 22 failed at m=12, K=2" in str(info.value)
 
     def test_crosses_the_process_pool(self, monkeypatch):
         # workers inherit the patched module; the parent must get the

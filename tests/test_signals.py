@@ -42,6 +42,32 @@ class TestStreamKey:
         assert not np.array_equal(a, b)
         np.testing.assert_array_equal(a, key.generator(1).standard_normal(8))
 
+    @pytest.mark.parametrize("bad", [0, -1, 2**32])
+    def test_extra_word_range_enforced(self, bad):
+        # SeedSequence pads the entropy with zero words, so a trailing 0
+        # would give the key's own stream, and 2**32 would split into the
+        # two words (0, 1)
+        with pytest.raises(ValueError):
+            StreamKey(5, 7, Purpose.SIGNAL).generator(bad)
+        with pytest.raises(ValueError):
+            StreamKey(5, 7, Purpose.SIGNAL).generator(1, bad)
+
+    def test_large_seeds_alias_as_documented(self):
+        # a seed of 2**32 or more is two words, so it can alias a key of a
+        # smaller seed, as the StreamKey docstring states
+        h, low = 3, 9
+
+        def draws(key, *extra):
+            return key.generator(*extra).standard_normal(8)
+
+        np.testing.assert_array_equal(
+            draws(StreamKey(2**32 * h + low, 0)), draws(StreamKey(low, h))
+        )
+        np.testing.assert_array_equal(
+            draws(StreamKey(2**32 * h + low, 2, Purpose.SIGNAL)),
+            draws(StreamKey(low, h, Purpose.SIGNAL), 2),
+        )
+
     def test_with_helpers(self):
         key = StreamKey(7, 3, Purpose.MATRIX)
         assert key.with_purpose(Purpose.SIGNAL).purpose == Purpose.SIGNAL
