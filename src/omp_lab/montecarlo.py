@@ -75,15 +75,17 @@ index, not per trial.
 
 Determinism
 -----------
-Let row ``r`` be the grid's ``r``-th (case, K) row and ``g`` the grid
-index of the point at ``m_values[j]`` on it, ``g = r * len(m_values) +
-j``.  Trial ``t`` of that point draws ``Z_t`` and ``x_t`` from the
-``MATRIX`` and ``SIGNAL`` streams of ``StreamKey(master_seed, r * trials
-+ t)`` and ``R`` from ``StreamKey(master_seed, g * trials + t,
-Purpose.FACTOR)``, a stream that no other draw of the run shares.  So
-its outcome is a pure function of the config and these keys, whoever
-decides it.  A task is the trial indices ``[t0, t0 + c)`` of one row
-taken at all of the row's m values, with ``c = max(1, S //
+Let row ``r`` be the grid's ``r``-th (case, K) row.  Trial ``t`` of
+every point of that row draws from the streams of ``StreamKey(master_seed,
+r * trials + t)``: ``x_t`` from its ``SIGNAL`` stream, and from its one
+``MATRIX`` stream first ``R`` at each of the row's m values in
+increasing order, then ``Z_t``.  Consecutive draws from one stream are
+independent, so the ``R``'s of a trial index are independent of one
+another and of ``Z_t``, as the law above needs.  A trial's outcome is a
+pure function of the config and its key, whoever decides it, and a
+trial index makes one generator (two for Gaussian nonzeros) however
+long its row is.  A task is the trial indices ``[t0, t0 + c)`` of one
+row taken at all of the row's m values, with ``c = max(1, S //
 len(m_values))`` and ``S = max(1, min(256, 2 MiB // (8 K K)))`` (256 up
 to K = 32, 64 at K = 64); its stack rows run over t, and over m within
 each t.  The task list depends on the config alone, not on the worker
@@ -109,7 +111,6 @@ from .omp import DegenerateColumnError, check_exact_recovery, recovers_stack, ru
 from .phi import PhiFunction
 from .signals import (
     Purpose,
-    SensingMatrix,
     SignalCase,
     StreamKey,
     generate_signal,
@@ -126,7 +127,6 @@ __all__ = [
     "SAMPLER",
     "phi_for_case",
     "run_trial",
-    "sample_reduced_trial",
     "run_experiment",
     "wilson_interval",
 ]
@@ -140,23 +140,20 @@ _Z95 = 1.9599639845400536
 
 # Byte budget of one task's stack of K-by-K support blocks.  It sets a
 # trial count, not the task's memory: the support path's basis, factor
-# and residuals are each as large again.  No stream is kept: the
-# off-support normals of each trial index are drawn only when the
-# pursuit reads them, into two reused buffers (a 256-trial task at
-# K = 30 peaks near 8 MiB).
+# and residuals are each as large again.  Each trial index keeps its
+# generator, not its normals: the off-support normals are drawn only
+# when the pursuit reads them, into two reused buffers (a 256-trial
+# task at K = 30 peaks near 8 MiB).
 _STACK_BYTES = 2 * 1024 * 1024
 
 # Most trials per task.  Larger tasks decide a trial no faster, and
 # would leave a grid of few (case, K) rows fewer tasks than workers.
 _MAX_STACK = 256
 
-# Largest m accepted by run_trial; keeps a typo'd config from trying to
-# allocate a multi-gigabyte matrix.
-_MAX_M = 100_000
-
 
 class TrialError(RuntimeError):
-    """Solver failure inside one trial, tagged with where it happened."""
+    """Solver failure inside one trial, tagged with where it happened:
+    the point (m, K, case) and the trial's number within the point."""
 
     def __init__(
         self, m: int, K: int, case: SignalCase, trial_index: int, cause: Exception
@@ -242,77 +239,26 @@ def phi_for_case(case: SignalCase) -> PhiFunction:
     return PhiFunction.gaussian_empirical()
 
 
-def run_trial(
-    m: int,
-    n: int,
-    K: int,
-    case: SignalCase,
-    key: StreamKey,
-    matrix: Optional[SensingMatrix] = None,
-) -> bool:
+def run_trial(m: int, n: int, K: int, case: SignalCase, key: StreamKey) -> bool:
     """One dense recovery trial; True iff the pursuit reproduces the signal.
 
     The reference for the reduced trial that :func:`run_experiment`
     runs.  The matrix, support and nonzero values come from substreams
     of ``key``, so the outcome is a pure function of the arguments.
-    ``matrix`` overrides the sampled one (a hook for tests that need a
-    designed operator, e.g. the identity).
 
     Raises
     ------
     ValueError
-        If ``K >= m`` or ``m`` exceeds the size cap.
+        If ``K`` is not in ``[1, m)``.
     """
     if not 1 <= K < m:
         raise ValueError(f"need 1 <= K < m, got K={K}, m={m}")
-    if m > _MAX_M:
-        raise ValueError(f"m={m} exceeds the cap of {_MAX_M}")
-    if matrix is None:
-        matrix = sample_sensing_matrix(m, n, key.with_purpose(Purpose.MATRIX))
-    elif matrix.entries.shape != (m, n):
-        raise ValueError("matrix hook has the wrong shape")
+    matrix = sample_sensing_matrix(m, n, key.with_purpose(Purpose.MATRIX))
     support = sample_support(n, K, key.with_purpose(Purpose.SUPPORT))
     signal = generate_signal(n, support, case, key.with_purpose(Purpose.SIGNAL))
     y = matrix.entries @ signal.values
     result = run_omp(matrix, y, K)
     return check_exact_recovery(result, signal)
-
-
-def sample_reduced_trial(
-    m: int,
-    n: int,
-    K: int,
-    case: SignalCase,
-    key: StreamKey,
-    factor_index: Optional[int] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw ``(R, G, x_S)`` of one reduced trial, as a task draws it.
-
-    See the module docstring.  The K-by-K Bartlett factor ``R`` comes
-    from ``StreamKey(key.master_seed, factor_index, Purpose.FACTOR)``
-    (``factor_index`` defaults to ``key.trial_index``): first its strictly
-    upper part (N(0, 1/m)), then its diagonal ``sqrt(chi2_{m-i} / m)``
-    for ``i = 0..K-1``.  The (n-K)-by-K off-support block is
-    ``G = Z * (1 / sqrt(m))`` with ``Z`` standard normal from the
-    ``Purpose.MATRIX`` stream of ``key``.  ``x_S`` holds the case's K
-    nonzeros (:func:`~omp_lab.signals.signal_nonzeros`); Gaussian values
-    come from the ``Purpose.SIGNAL`` stream, so they equal the dense
-    trial's nonzeros for the same key.  In a run, ``key`` is the row's
-    key of the trial and ``factor_index`` the point's.
-
-    Raises
-    ------
-    ValueError
-        If ``K`` is not in ``[1, min(m, n))``.
-    """
-    if not 1 <= K < min(m, n):
-        raise ValueError(f"need 1 <= K < min(m, n), got K={K}, m={m}, n={n}")
-    if factor_index is None:
-        factor_index = key.trial_index
-    support, values, off = _draw_trials(
-        n, K, case, key.master_seed, (m,), [key.trial_index], [[factor_index]]
-    )
-    return support[0], next(off).copy(), values[0]
 
 
 def _stack_size(K: int) -> int:
@@ -328,40 +274,47 @@ def _draw_trials(
     master_seed: int,
     ms: Sequence[int],
     keys: Sequence[int],
-    factor_keys: Sequence[Sequence[int]],
 ) -> Tuple[np.ndarray, np.ndarray, Iterator[np.ndarray]]:
     """Draw the reduced trials of trial keys ``keys`` at every m of
     ``ms``; stack row ``t * len(ms) + j`` is key ``keys[t]`` at
-    ``m = ms[j]``, with factor index ``factor_keys[t][j]``.
+    ``m = ms[j]``.
 
-    Returns the stack of factors ``R``, the nonzeros, and an iterator
-    over the rows' ``G`` blocks, drawn as :func:`sample_reduced_trial`
-    describes.  ``Z`` and the nonzeros are drawn once per key.  The
-    iterator draws each key's ``Z`` when it reaches the key's first row
-    and writes ``Z * (1 / sqrt(m))`` into a reused buffer, the last m's
-    into ``Z``'s own, so a block is valid only until the next one is
-    yielded.
+    Returns the stack of K-by-K factors ``R``, the stack of the K
+    nonzeros ``x_S``, and an iterator over the rows' (n-K)-by-K blocks
+    ``G``.  Key ``k`` draws from the ``Purpose.MATRIX`` stream of
+    ``StreamKey(master_seed, k)``: at each m of ``ms`` in turn, ``R``'s
+    strictly upper part (N(0, 1/m), from a K-by-K normal draw) and then
+    its diagonal ``sqrt(chi2_{m-i} / m)`` for ``i = 0..K-1``; after the
+    last m, the standard normal ``Z`` with ``G = Z * (1 / sqrt(m))`` at
+    each m.  ``x_S`` holds the case's nonzeros
+    (:func:`~omp_lab.signals.signal_nonzeros`); Gaussian values come
+    from the ``Purpose.SIGNAL`` stream of the key, so they equal the
+    dense trial's nonzeros for the same key.  The iterator draws each
+    key's ``Z`` when it reaches the key's first row and writes
+    ``Z * (1 / sqrt(m))`` into a reused buffer, the last m's into
+    ``Z``'s own, so a block is valid only until the next one is yielded.
     """
     diagonal = np.arange(K)
     lower = np.tril_indices(K, -1)
     scales = [1.0 / math.sqrt(m) for m in ms]
     support = np.empty((len(keys), len(ms), K, K))
     values = np.empty((len(keys), len(ms), K))
+    streams = []
     for t, key in enumerate(keys):
         values[t] = signal_nonzeros(K, case, StreamKey(master_seed, key, Purpose.SIGNAL))
+        stream = StreamKey(master_seed, key, Purpose.MATRIX).generator()
         for j, m in enumerate(ms):
-            stream = StreamKey(master_seed, factor_keys[t][j], Purpose.FACTOR).generator()
             R = support[t, j]
             stream.standard_normal(out=R)
             R *= scales[j]
             R[lower] = 0.0
             R[diagonal, diagonal] = np.sqrt(stream.chisquare(m - diagonal) / m)
+        streams.append(stream)
 
     def off() -> Iterator[np.ndarray]:
         normals = np.empty((n - K, K))
         block = np.empty((n - K, K))
-        for key in keys:
-            stream = StreamKey(master_seed, key, Purpose.MATRIX).generator()
+        for stream in streams:
             stream.standard_normal(out=normals)
             for scale in scales[:-1]:
                 np.multiply(normals, scale, out=block)
@@ -390,16 +343,14 @@ def _count_successes(
     The keys are the module docstring's.  Top-level so process pools can
     pickle it.
     """
-    t = np.arange(first_trial, first_trial + count)
-    keys = row * trials + t
-    points = row * len(ms) + np.arange(len(ms))
-    factor_keys = points * trials + t[:, None]
-    support, values, off = _draw_trials(n, K, case, master_seed, ms, keys, factor_keys)
+    first_key = row * trials + first_trial
+    keys = range(first_key, first_key + count)
+    support, values, off = _draw_trials(n, K, case, master_seed, ms, keys)
     try:
         recovered = recovers_stack(support, values, off)
     except DegenerateColumnError as err:
         s, j = divmod(err.row, len(ms))
-        raise TrialError(ms[j], K, case, int(factor_keys[s, j]), err) from err
+        raise TrialError(ms[j], K, case, first_trial + s, err) from err
     return tuple(int(c) for c in recovered.reshape(count, len(ms)).sum(axis=0))
 
 

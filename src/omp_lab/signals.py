@@ -41,16 +41,16 @@ _MAX_KEY_WORD = 2**64
 class Purpose(enum.IntEnum):
     """Role of a random substream; part of the stream-derivation key.
 
-    ``FACTOR`` keys the Bartlett factor of a reduced trial's support
-    columns (see :mod:`omp_lab.montecarlo`); ``MATRIX`` keys a dense
-    matrix or a reduced trial's off-support block.
+    ``MATRIX`` keys a dense matrix, or a reduced trial index's whole
+    matrix draw: the Bartlett factors of its support columns at each m
+    of its row, then its off-support normals (see
+    :mod:`omp_lab.montecarlo`).
     """
 
     MATRIX = 0
     SUPPORT = 1
     SIGNAL = 2
     PHI_VALIDATION = 3
-    FACTOR = 4
 
 
 @dataclass(frozen=True)

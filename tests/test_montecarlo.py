@@ -17,7 +17,6 @@ from omp_lab.montecarlo import (
     phi_for_case,
     run_experiment,
     run_trial,
-    sample_reduced_trial,
     wilson_interval,
 )
 from omp_lab.omp import (
@@ -99,16 +98,6 @@ class TestPhiForCase:
 
 
 class TestRunTrial:
-    def test_identity_hook_always_recovers(self):
-        # orthonormal columns: the pursuit reads coefficients directly
-        identity = SensingMatrix(np.eye(16))
-        for case in (
-            SignalCase.flat(),
-            SignalCase.decaying(1.2),
-            SignalCase.gaussian(1.0),
-        ):
-            assert run_trial(16, 16, 3, case, StreamKey(4), matrix=identity)
-
     def test_deterministic(self):
         key = StreamKey(42, 7)
         results = {
@@ -129,11 +118,6 @@ class TestRunTrial:
             run_trial(10, 64, 10, SignalCase.flat(), StreamKey(0))
         with pytest.raises(ValueError):
             run_trial(10, 64, 0, SignalCase.flat(), StreamKey(0))
-        with pytest.raises(ValueError):
-            run_trial(
-                10, 64, 2, SignalCase.flat(), StreamKey(0),
-                matrix=SensingMatrix(np.eye(5)),
-            )
 
     def test_recovery_improves_with_m(self):
         # scaled-down version of the long-run check: far below the
@@ -170,6 +154,12 @@ def _dense_reduction(A, signal):
     return B[:, :K], B[:, K:].T, signal.values[support], perm
 
 
+def _one_trial(m, n, K, case, seed, key):
+    """(R, G, x_S) of trial key ``key`` at one m, as a task draws it."""
+    support, values, off = montecarlo._draw_trials(n, K, case, seed, (m,), [key])
+    return support[0], next(off), values[0]
+
+
 def _pursue(R, G, x_s):
     """OMP result and decision of run_omp plus the check on ``B = [R | G^T]``."""
     B = SensingMatrix(np.hstack([R, G.T]))
@@ -185,32 +175,28 @@ def _decide(R, G, x_s):
 
 class TestReducedTrial:
     def test_sampler_shapes_and_determinism(self):
-        key = StreamKey(3, 11)
-        R, G, x_s = sample_reduced_trial(40, 64, 5, SignalCase.flat(), key)
+        R, G, x_s = _one_trial(40, 64, 5, SignalCase.flat(), 3, 11)
         assert R.shape == (5, 5) and G.shape == (59, 5) and x_s.shape == (5,)
         assert np.all(np.tril(R, -1) == 0.0) and np.all(np.diagonal(R) > 0.0)
-        again = sample_reduced_trial(40, 64, 5, SignalCase.flat(), key)
+        again = _one_trial(40, 64, 5, SignalCase.flat(), 3, 11)
         for drawn, redrawn in zip((R, G, x_s), again):
             assert np.array_equal(drawn, redrawn)
 
     @pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.label())
     def test_signal_values_follow_the_case(self, case):
         # the dense trial's nonzeros, in support order, for the same key
-        key = StreamKey(8, 2)
-        _, _, x_s = sample_reduced_trial(50, 128, 6, case, key)
-        _, dense = _dense_instance(50, 128, 6, case, key)
+        _, _, x_s = _one_trial(50, 128, 6, case, 8, 2)
+        _, dense = _dense_instance(50, 128, 6, case, StreamKey(8, 2))
         assert np.array_equal(x_s, dense.values[dense.support])
 
     def test_sampler_moments(self):
         # E[R_ii^2] = (m - i)/m, E[R_ij^2] = E[G_ij^2] = 1/m; a chi-square
         # with m - i + 1 degrees of freedom would miss by 1/m = 5 SE here
         m, n, K, draws = 40, 48, 8, 2000
-        Rs, Gs, _ = zip(
-            *(
-                sample_reduced_trial(m, n, K, SignalCase.flat(), StreamKey(1, t))
-                for t in range(draws)
-            )
+        Rs, _, off = montecarlo._draw_trials(
+            n, K, SignalCase.flat(), 1, (m,), range(draws)
         )
+        Gs = [G.copy() for G in off]
         diag_sq = np.mean([np.diagonal(R) ** 2 for R in Rs], axis=0)
         expected = (m - np.arange(K)) / m
         se = np.sqrt(2.0 * (m - np.arange(K)) / m**2 / draws)
@@ -226,11 +212,6 @@ class TestReducedTrial:
         assert _decide(np.eye(3), G, x_s) and _pursue(np.eye(3), G, x_s)[1]
         G[4, 2] = 5.0  # beats the first on-support correlation, 3
         assert not _decide(np.eye(3), G, x_s) and not _pursue(np.eye(3), G, x_s)[1]
-
-    def test_validation(self):
-        for m, n, K in ((10, 64, 10), (10, 64, 0), (40, 8, 8)):
-            with pytest.raises(ValueError):
-                sample_reduced_trial(m, n, K, SignalCase.flat(), StreamKey(0))
 
     def test_pathwise_equal_to_dense(self):
         # OMP on B = Q^T A[:, perm] must pick the dense pursuit's columns
@@ -269,30 +250,24 @@ class TestReducedTrial:
 
     @pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.label())
     def test_stack_rows_equal_one_trial_sampler(self, case):
-        # trial keys 40 and 41 at three m values, rows ordered (key, m),
-        # each row with its own factor index
+        # one draw over trial keys 40 and 41 at three m values, rows
+        # ordered (key, m), equals two one-key draws, bit for bit
         ms, keys = (50, 60, 70), (40, 41)
-        factor_keys = [[100 + 10 * j + t for j in range(3)] for t in range(2)]
-        support, values, off = montecarlo._draw_trials(
-            128, 6, case, 8, ms, keys, factor_keys
-        )
-        assert support.shape == (6, 6, 6) and values.shape == (6, 6)
-        blocks = [block.copy() for block in off]
-        assert len(blocks) == 6
-        for t, key in enumerate(keys):
-            for j, m in enumerate(ms):
-                R, G, x_s = sample_reduced_trial(
-                    m, 128, 6, case, StreamKey(8, key), factor_keys[t][j]
-                )
-                s = t * len(ms) + j
-                assert support[s].tobytes() == R.tobytes()
-                assert blocks[s].tobytes() == G.tobytes()
-                assert values[s].tobytes() == x_s.tobytes()
+
+        def draw(keys):
+            support, values, off = montecarlo._draw_trials(128, 6, case, 8, ms, keys)
+            return support, values, np.array([block.copy() for block in off])
+
+        both = draw(keys)
+        assert [a.shape for a in both] == [(6, 6, 6), (6, 6), (6, 122, 6)]
+        for part, *singles in zip(both, draw(keys[:1]), draw(keys[1:])):
+            assert part.tobytes() == np.concatenate(singles).tobytes()
 
     def test_row_shares_normals_and_nonzeros_across_m(self, monkeypatch):
-        # trials 3 and 4 of row 1 at four m values: at each m, trial t's
-        # block is Z_t * (1/sqrt(m)) bit for bit, with Z_t from the row's
-        # MATRIX key r * trials + t; its x rows are equal; its R's differ
+        # trials 3 and 4 of row 1 at four m values, bit for bit: the
+        # MATRIX stream of the row's key r * trials + t yields trial t's
+        # R at each m in turn and then Z_t, and its block at each m is
+        # Z_t * (1/sqrt(m)); its x rows are equal; its R's differ
         stacks = []
 
         def record(support, values, off):
@@ -308,15 +283,47 @@ class TestReducedTrial:
         assert counts == (0, 0, 0, 0)
         ((support, values, blocks),) = stacks
         assert len(support) == len(values) == len(blocks) == count * len(ms)
+        diagonal = np.arange(EQ_K)
         for i, t in enumerate(range(first, first + count)):
-            z = StreamKey(5, row * trials + t, Purpose.MATRIX).generator()
-            z = z.standard_normal((EQ_N - EQ_K, EQ_K))
+            stream = StreamKey(5, row * trials + t, Purpose.MATRIX).generator()
             rows = range(i * len(ms), (i + 1) * len(ms))
+            for s, m in zip(rows, ms):
+                R = stream.standard_normal((EQ_K, EQ_K)) * (1.0 / math.sqrt(m))
+                R = np.triu(R, 1)
+                R[diagonal, diagonal] = np.sqrt(stream.chisquare(m - diagonal) / m)
+                assert support[s].tobytes() == R.tobytes()
+            z = stream.standard_normal((EQ_N - EQ_K, EQ_K))
             for s, m in zip(rows, ms):
                 assert blocks[s].tobytes() == (z * (1.0 / math.sqrt(m))).tobytes()
                 assert values[s].tobytes() == values[rows[0]].tobytes()
             assert len({support[s].tobytes() for s in rows}) == len(ms)
         assert not np.array_equal(values[0], values[len(ms)])
+
+    @pytest.mark.parametrize(
+        "case,purposes",
+        [
+            (SignalCase.flat(), [Purpose.MATRIX]),
+            (SignalCase.gaussian(1.0), [Purpose.MATRIX, Purpose.SIGNAL]),
+        ],
+        ids=["flat", "gauss1"],
+    )
+    def test_one_matrix_generator_per_trial_index(self, monkeypatch, case, purposes):
+        # trials 3..7 of row 1 at four m values: each trial index makes
+        # its MATRIX generator (and its SIGNAL one for Gaussian
+        # nonzeros) once, not once per m
+        made = []
+        real = StreamKey.generator
+
+        def counted(key, *extra):
+            made.append((key.trial_index, key.purpose))
+            return real(key, *extra)
+
+        monkeypatch.setattr(StreamKey, "generator", counted)
+        ms, trials, row, first, count = (30, 40, 50, 60), 10, 1, 3, 5
+        montecarlo._count_successes(EQ_N, EQ_K, case, 5, trials, ms, row, first, count)
+        assert sorted(made) == [
+            (row * trials + t, p) for t in range(first, first + count) for p in purposes
+        ]
 
     def test_stack_size_from_byte_budget(self):
         # at most 256 trials; the 2 MiB budget binds from K = 33 on
@@ -330,8 +337,8 @@ class TestReducedTrial:
 
     def test_task_across_a_point_boundary(self):
         # trials 2..7 of row 1, 10 trials per point, at m = 24, 48 and 72
-        # (0, 1 and 6 successes): every trial is decided as run_omp on its
-        # [R_m | G_m^T] decides it, with the keys of the module docstring
+        # (0, 1 and 5 successes): every trial is decided as run_omp on its
+        # [R_m | G_m^T] decides it, drawn from the row's key of the trial
         ms, trials, row, first, count = (24, 48, 72), 10, 1, 2, 6
         case = SignalCase.flat()
         counts = montecarlo._count_successes(
@@ -339,14 +346,12 @@ class TestReducedTrial:
         )
         want = [0, 0, 0]
         for t in range(first, first + count):
-            for j, m in enumerate(ms):
-                point = row * len(ms) + j
-                trial = sample_reduced_trial(
-                    m, EQ_N, EQ_K, case, StreamKey(6, row * trials + t),
-                    point * trials + t,
-                )
-                want[j] += _pursue(*trial)[1]
-        assert counts == tuple(want) == (0, 1, 6)
+            support, values, off = montecarlo._draw_trials(
+                EQ_N, EQ_K, case, 6, ms, [row * trials + t]
+            )
+            for j, G in enumerate(off):
+                want[j] += _pursue(support[j], G, values[j])[1]
+        assert counts == tuple(want) == (0, 1, 5)
 
     @pytest.mark.slow
     def test_distribution_equal_to_dense(self):
@@ -588,10 +593,11 @@ def degenerate_pursuit(monkeypatch, row=0):
 
 class TestTrialError:
     def test_wraps_solver_failure_with_location(self, monkeypatch):
-        # trials 5..7 of row 0, one m: stack row 0 is trial 5 at m=10
+        # trials 5..7 of row 1, one m: stack row 0 is trial 5 of its
+        # point, whose row key is 1 * 10 + 5
         degenerate_pursuit(monkeypatch)
         with pytest.raises(TrialError) as info:
-            montecarlo._count_successes(20, 2, SignalCase.flat(), 0, 10, (10,), 0, 5, 3)
+            montecarlo._count_successes(20, 2, SignalCase.flat(), 0, 10, (10,), 1, 5, 3)
         err = info.value
         assert (err.m, err.K, err.trial_index) == (10, 2, 5)
         assert err.case == SignalCase.flat()
@@ -607,14 +613,14 @@ class TestTrialError:
 
     def test_names_the_point_of_a_row_across_a_boundary(self, monkeypatch):
         # trials 1..3 of row 1 at m = 10, 12, 14 with 5 trials per point:
-        # stack row 4 is trial 2 at m=12, grid point 4, so key 4 * 5 + 2
+        # stack row 4 is trial 2 of the point at m=12
         degenerate_pursuit(monkeypatch, row=4)
         with pytest.raises(TrialError) as info:
             montecarlo._count_successes(
                 20, 2, SignalCase.flat(), 0, 5, (10, 12, 14), 1, 1, 3
             )
-        assert (info.value.m, info.value.trial_index) == (12, 22)
-        assert "trial 22 failed at m=12, K=2" in str(info.value)
+        assert (info.value.m, info.value.trial_index) == (12, 2)
+        assert "trial 2 failed at m=12, K=2" in str(info.value)
 
     def test_crosses_the_process_pool(self, monkeypatch):
         # workers inherit the patched module; the parent must get the
