@@ -100,7 +100,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
@@ -424,16 +423,18 @@ def run_experiment(
     indices are split into runs of at most ``max(1, _stack_size(K) //
     len(m_values))``, whatever ``workers`` is, and each run, taken at
     all of the row's m values, is one task.  The tasks are mapped in
-    grid order, in this process when ``workers == 1`` and over a process
-    pool of ``min(workers, tasks)`` processes otherwise.  Meanwhile the
-    parent evaluates every point's bounds, each once per distinct
-    argument set: ``baseline_bound`` per (m, K), ``disparity_bound`` per
-    (m, K, phi).  Tallies are then reduced in grid order, and
-    ``progress`` is called with ``(points_done, points_total, result)``
-    for each point of a row as soon as the row's last task is in, while
-    the pool works on later tasks.  Per-trial keyed streams make the
-    result identical for every worker count.  A failing trial raises its
-    ``TrialError`` here and cancels the tasks not yet started.
+    grid order over a process pool of ``min(workers, tasks)`` processes,
+    or in this process when that is 1; the pool's modules are imported
+    only when a pool is made, so a run that never forks does not load
+    them.  Meanwhile the parent evaluates every point's bounds, each
+    once per distinct argument set: ``baseline_bound`` per (m, K),
+    ``disparity_bound`` per (m, K, phi).  Tallies are then reduced in
+    grid order, and ``progress`` is called with ``(points_done,
+    points_total, result)`` for each point of a row as soon as the row's
+    last task is in, while the pool works on later tasks.  Per-trial
+    keyed streams make the result identical for every worker count.  A
+    failing trial raises its ``TrialError`` here and cancels the tasks
+    not yet started.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -458,7 +459,13 @@ def run_experiment(
     successes = [0] * len(grid)
     # A fork-started pool launches all its processes at the first submit.
     workers = min(workers, len(tasks))
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        # imported here, so a run that never forks does not load
+        # concurrent.futures, multiprocessing and logging
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers)
     try:
         tallies = (map if pool is None else pool.map)(_count_successes, *zip(*tasks))
         bound_values = [

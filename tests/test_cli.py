@@ -1,5 +1,6 @@
 """CLI behavior: flags, config files, exit codes, artifacts."""
 
+import concurrent.futures
 import csv
 import json
 import os
@@ -34,17 +35,29 @@ def _polyline_count(path):
     return len(ET.fromstring(_read(path)).findall(f".//{_SVG_NS}polyline"))
 
 
+def _run_python(code):
+    """Stdout of a fresh interpreter that runs ``code`` with this
+    package on its path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    return done.stdout
+
+
 def _recording_pool(monkeypatch):
     """Record the ``max_workers`` of each process pool that simulate
     starts; the pools still run their tasks in worker processes."""
     made = []
 
-    class RecordingPool(montecarlo.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             made.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return made
 
 
@@ -169,6 +182,17 @@ class TestSimulateCommand:
         assert main(args) == EXIT_RUNTIME
         assert made == ([] if threads == "1" else [2])
         assert "trial failure: trial 0 failed at m=24, K=3" in capsys.readouterr().err
+
+    def test_threads_default_to_usable_cpus(self, tmp_path, monkeypatch):
+        # a process pinned to one CPU of a many-core host forks no pool
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        made = _recording_pool(monkeypatch)
+        args = _sim_args(tmp_path, "--case", "gauss")
+        at = args.index("--threads")
+        del args[at:at + 2]
+        assert main(args) == EXIT_OK
+        assert made == []
 
     def test_needs_m(self):
         assert main(["simulate", "--K", "3", "--trials", "2"]) == EXIT_USAGE
@@ -372,22 +396,29 @@ class TestTopLevel:
 
     def test_import_loads_no_scipy_or_unused_stdlib(self):
         # numpy is the only runtime dependency; scipy is a test extra.  Nor
-        # does the CLI pull in the stdlib's XML, network or statistics stacks.
+        # does the CLI pull in the stdlib's XML, network or statistics
+        # stacks, or the process-pool stack, which only a forking run loads.
         forbidden = (
-            "scipy", "xml.sax", "urllib.request", "http", "ssl", "email", "statistics"
+            "scipy", "xml.sax", "urllib.request", "http", "ssl", "email",
+            "statistics", "concurrent", "logging", "multiprocessing",
         )
         code = (
             "import json, sys, omp_lab.cli; print(json.dumps(sorted("
             "m for m in sys.modules if any(m == p or m.startswith(p + '.') "
             f"for p in {forbidden!r}))))"
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env, capture_output=True, text=True, check=True, timeout=60,
+        assert json.loads(_run_python(code)) == []
+
+    def test_heap_frozen_at_exit(self):
+        # atexit handlers run last-registered first, so a probe registered
+        # before the import runs after the CLI's handler
+        code = (
+            "import atexit, gc\n"
+            "atexit.register(lambda: print(gc.get_freeze_count()))\n"
+            "import omp_lab.cli\n"
+            "assert gc.get_freeze_count() == 0\n"
         )
-        assert json.loads(done.stdout) == []
+        assert int(_run_python(code)) > 0
 
 
 class TestNonFiniteNumbers:

@@ -1,5 +1,6 @@
 """Experiment engine: config validation, keyed trials, aggregation."""
 
+import concurrent.futures
 import math
 import statistics
 
@@ -577,7 +578,7 @@ def _inline_pool(monkeypatch):
         def shutdown(self, cancel_futures=False):
             pass
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return made
 
 
