@@ -25,6 +25,32 @@ Baseline bound
              (1 - exp(-eps^2 m / 2))
              * (1 - exp(-(sqrt(m/K) - 1 - eps)^2 / 2))^(K (n - K))
 
+Derivation
+    Both bounds lower-bound the chance that all K picks land on the
+    support S, after which the K-column fit is exact.  Iteration k has
+    picked T, k - 1 columns, all on S; its residual is r = A_S w with
+    A_T^T r = 0 and w_{S\\T} = x_{S\\T}.  So ||r||^2 = <x_{S\\T},
+    A_{S\\T}^T r> <= ||x_{S\\T}||_1 ||A_S^T r||_inf and ||r|| >=
+    sigma_min(A_S) ||x_{S\\T}||_2.  With ``phi`` bounding ||v||_1^2 /
+    ||v||_2^2 on the t = K - k + 1 entries of x_{S\\T}, the
+    per-iteration factor is
+
+        ||A_S^T r||_inf / ||r|| >= sigma_min(A_S) / sqrt(phi(K - k + 1)),
+
+    and phi(t) = t gives the baseline's sqrt(K) step.  Each off-support
+    column a_j is independent of r, so <a_j, r / ||r||> is N(0, 1/m);
+    the tail step is P(|N(0, 1)| >= t) <= exp(-t^2 / 2) (the Mills
+    ratio in the disparity bound, whence the denominator of x_k).  On
+    the event sigma_min(A_S) >= 1 - sqrt(K/m) - eps, of probability at
+    least 1 - exp(-eps^2 m / 2), each baseline factor is then
+    1 - exp(-(sqrt(m/K) (1 - sqrt(K/m) - eps))^2 / 2), eps in
+    (0, 1 - sqrt(K/m)); the disparity bound's eta is on this scale.
+    The baseline above uses sqrt(m/K) - 1 - eps on (0, sqrt(m/K) - 1)
+    instead: its eps term is sqrt(m/K) times too small, which makes it
+    too generous, most at large m, and is why acceptance criterion 3
+    fails.  The formula stays until the reference tables that pin its
+    values change with it.
+
 All arithmetic runs in the log domain: with n - K in the thousands the
 per-term factors sit extremely close to 1, and ``log(1 - e^-a)`` is
 computed by the standard two-branch rule so neither tiny nor huge ``a``

@@ -31,9 +31,7 @@ winning correlation ``c_k``.  OMP on ``B`` leaves that path at
 iteration ``k`` only if some row ``g_j`` of ``G`` has
 ``|<g_j, u_k>| > c_k`` (an exact tie goes to the support column, whose
 index is smaller).  So the trial succeeds iff ``|G U| <= c`` entrywise,
-with ``U = [u_0 .. u_{K-1}]``, and the K-column fit on ``R`` is exact:
-one pursuit on a K-by-K matrix plus one product of the (n-K)-by-K
-``G`` with the K-by-K ``U``.
+with ``U = [u_0 .. u_{K-1}]``, and the K-column fit on ``R`` is exact.
 :func:`~omp_lab.omp.recovers_stack` decides a whole task's trials this
 way, by the rules of :func:`~omp_lab.omp.run_omp` and
 :func:`~omp_lab.omp.check_exact_recovery`, the solver and check of the
@@ -48,52 +46,41 @@ Why sampling ``(R, G)`` directly is exact:
 - ``Q`` is a function of ``A_S``, which is independent of the
   off-support columns ``a_j ~ N(0, I/m)``.  For any fixed orthonormal
   ``Q``, ``Q^T a_j ~ N(0, I_K/m)``, so ``G`` has i.i.d. N(0, 1/m)
-  entries and is independent of ``R`` (Tropp & Gilbert, IEEE T-IT 2007).
-  So ``G`` is drawn as ``Z / sqrt(m)`` with ``Z`` standard normal.
+  entries and is independent of ``R`` (Tropp & Gilbert, IEEE T-IT 2007):
+  ``G = Z / sqrt(m)`` with ``Z`` standard normal.
 
 A trial thus draws ``K^2 + (n - K) K`` normals and ``K`` chi-squares
 instead of ``m n`` normals, and runs in ``O(n K^2)`` instead of
 ``O(m n K)``, whatever ``m``.  Only exact ties between correlations, an
 event of probability zero, can be broken differently than in the dense
 pursuit.  The dense :func:`run_trial` stays as the reference that the
-tests compare with, pathwise (the decision on ``(R, G)`` computed from
-a dense ``A`` equals ``run_trial`` on that ``A``) and in distribution
-(tallies agree).
+tests compare with, pathwise and in distribution.
 
 Common random numbers
 ---------------------
 The points of one (case, K) row of the grid differ only in m, and only
 ``R`` and the scale of ``G`` depend on m.  So trial ``t`` of a row draws
-``Z_t`` and the nonzeros ``x_t`` once and shares them across the row's
-m values, with ``G = Z_t / sqrt(m)`` at each; only ``R`` is drawn per
-point.  Each point's trials keep exactly the law above and stay
-independent of one another.  Points of one row share ``Z_t`` and
-``x_t``, so their tallies are positively correlated, which leaves each
-point's Wilson interval as it was but makes differences along a row
-less noisy.  The row draws ``(n - K) K`` off-support normals per trial
-index, not per trial.
+``Z_t`` and the nonzeros ``x_t`` once and uses them at every m of the
+row; only ``R`` is drawn per point.  ``G`` itself is never formed: the
+check ``|G U| <= c`` is made as ``|Z_t U| <= c sqrt(m)``.  Each point's
+trials keep exactly the law above and stay independent of one another.
+Points of one row are positively correlated, which leaves each point's
+Wilson interval as it was but makes differences along a row less noisy.
 
 Determinism
 -----------
-Let row ``r`` be the grid's ``r``-th (case, K) row.  Trial ``t`` of
-every point of that row draws from the streams of ``StreamKey(master_seed,
-r * trials + t)``: ``x_t`` from its ``SIGNAL`` stream, and from its one
-``MATRIX`` stream first ``R`` at each of the row's m values in
-increasing order, then ``Z_t``.  Consecutive draws from one stream are
-independent, so the ``R``'s of a trial index are independent of one
-another and of ``Z_t``, as the law above needs.  A trial's outcome is a
-pure function of the config and its key, whoever decides it, and a
-trial index makes one generator (two for Gaussian nonzeros) however
-long its row is.  A task is the trial indices ``[t0, t0 + c)`` of one
-row taken at all of the row's m values, with ``c = max(1, S //
-len(m_values))`` and ``S = max(1, min(256, 2 MiB // (8 K K)))`` (256 up
-to K = 32, 64 at K = 64); its stack rows run over t, and over m within
-each t.  The task list depends on the config alone, not on the worker
-count.  :func:`~omp_lab.omp.recovers_stack` keeps its rows apart, so a
-trial's decision does not depend on the other trials of its task
-either.  Each task returns its success counts per point of its row,
-and counts are summed, which is associative and commutative, so
-spreading the tasks across processes cannot change any result.
+Trial ``t`` of the grid's ``r``-th (case, K) row draws from the streams
+of ``StreamKey(master_seed, r * trials + t)``: ``x_t`` from its
+``SIGNAL`` stream, and from its one ``MATRIX`` stream ``R`` at each of
+the row's m values in increasing order, then ``Z_t``.  Consecutive
+draws from one stream are independent, as the law above needs.  A task
+is the trial indices ``[t0, t0 + c)`` of one row at all of its m
+values, with ``c = max(1, S // len(m_values))`` and ``S = max(1,
+min(256, 2 MiB // (8 K K)))``; :func:`~omp_lab.omp.recovers_stack`
+keeps its rows apart, so a trial's outcome is a pure function of the
+config and its key.  The task list depends on the config alone and
+counts are summed, so spreading the tasks across processes cannot
+change any result.
 """
 
 from __future__ import annotations
@@ -140,9 +127,8 @@ _Z95 = 1.9599639845400536
 # Byte budget of one task's stack of K-by-K support blocks.  It sets a
 # trial count, not the task's memory: the support path's basis, factor
 # and residuals are each as large again.  Each trial index keeps its
-# generator, not its normals: the off-support normals are drawn only
-# when the pursuit reads them, into two reused buffers (a 256-trial
-# task at K = 30 peaks near 8 MiB).
+# generator, not its normals: its Z is drawn only when the pursuit
+# reads it (a 252-trial task at K = 30 peaks near 8 MiB).
 _STACK_BYTES = 2 * 1024 * 1024
 
 # Most trials per task.  Larger tasks decide a trial no faster, and
@@ -274,30 +260,23 @@ def _draw_trials(
     ms: Sequence[int],
     keys: Sequence[int],
 ) -> Tuple[np.ndarray, np.ndarray, Iterator[np.ndarray]]:
-    """Draw the reduced trials of trial keys ``keys`` at every m of
-    ``ms``; stack row ``t * len(ms) + j`` is key ``keys[t]`` at
-    ``m = ms[j]``.
+    """Draw the reduced trials of trial keys ``keys`` at every m of ``ms``.
 
-    Returns the stack of K-by-K factors ``R``, the stack of the K
-    nonzeros ``x_S``, and an iterator over the rows' (n-K)-by-K blocks
-    ``G``.  Key ``k`` draws from the ``Purpose.MATRIX`` stream of
-    ``StreamKey(master_seed, k)``: at each m of ``ms`` in turn, ``R``'s
-    strictly upper part (N(0, 1/m), from a K-by-K normal draw) and then
-    its diagonal ``sqrt(chi2_{m-i} / m)`` for ``i = 0..K-1``; after the
-    last m, the standard normal ``Z`` with ``G = Z * (1 / sqrt(m))`` at
-    each m.  ``x_S`` holds the case's nonzeros
-    (:func:`~omp_lab.signals.signal_nonzeros`); Gaussian values come
-    from the ``Purpose.SIGNAL`` stream of the key, so they equal the
-    dense trial's nonzeros for the same key.  The iterator draws each
-    key's ``Z`` when it reaches the key's first row and writes
-    ``Z * (1 / sqrt(m))`` into a reused buffer, the last m's into
-    ``Z``'s own, so a block is valid only until the next one is yielded.
+    Returns the T-by-M stack of K-by-K factors ``R`` (``[t, j]`` is key
+    ``keys[t]`` at ``m = ms[j]``), the T-by-K nonzeros ``x_S`` (the
+    case's :func:`~omp_lab.signals.signal_nonzeros`, from the key's
+    ``Purpose.SIGNAL`` stream, so equal to the dense trial's), and an
+    iterator that draws each key's (n-K)-by-K standard normal ``Z`` only
+    when it is reached.  The ``Purpose.MATRIX`` stream of
+    ``StreamKey(master_seed, k)`` yields, at each m of ``ms`` in turn,
+    ``R``'s strictly upper part (N(0, 1/m), from a K-by-K normal draw)
+    and then its diagonal ``sqrt(chi2_{m-i} / m)`` for ``i = 0..K-1``;
+    after the last m, ``Z``.
     """
     diagonal = np.arange(K)
     lower = np.tril_indices(K, -1)
-    scales = [1.0 / math.sqrt(m) for m in ms]
     support = np.empty((len(keys), len(ms), K, K))
-    values = np.empty((len(keys), len(ms), K))
+    values = np.empty((len(keys), K))
     streams = []
     for t, key in enumerate(keys):
         values[t] = signal_nonzeros(K, case, StreamKey(master_seed, key, Purpose.SIGNAL))
@@ -305,23 +284,11 @@ def _draw_trials(
         for j, m in enumerate(ms):
             R = support[t, j]
             stream.standard_normal(out=R)
-            R *= scales[j]
+            R *= 1.0 / math.sqrt(m)
             R[lower] = 0.0
             R[diagonal, diagonal] = np.sqrt(stream.chisquare(m - diagonal) / m)
         streams.append(stream)
-
-    def off() -> Iterator[np.ndarray]:
-        normals = np.empty((n - K, K))
-        block = np.empty((n - K, K))
-        for stream in streams:
-            stream.standard_normal(out=normals)
-            for scale in scales[:-1]:
-                np.multiply(normals, scale, out=block)
-                yield block
-            normals *= scales[-1]
-            yield normals
-
-    return support.reshape(-1, K, K), values.reshape(-1, K), off()
+    return support, values, (stream.standard_normal((n - K, K)) for stream in streams)
 
 
 def _count_successes(
@@ -344,13 +311,13 @@ def _count_successes(
     """
     first_key = row * trials + first_trial
     keys = range(first_key, first_key + count)
-    support, values, off = _draw_trials(n, K, case, master_seed, ms, keys)
+    support, values, normals = _draw_trials(n, K, case, master_seed, ms, keys)
     try:
-        recovered = recovers_stack(support, values, off)
+        recovered = recovers_stack(support, values, normals, np.sqrt(ms))
     except DegenerateColumnError as err:
         s, j = divmod(err.row, len(ms))
         raise TrialError(ms[j], K, case, first_trial + s, err) from err
-    return tuple(int(c) for c in recovered.reshape(count, len(ms)).sum(axis=0))
+    return tuple(int(c) for c in recovered.sum(axis=0))
 
 
 @dataclass(frozen=True)
@@ -424,10 +391,9 @@ def run_experiment(
     len(m_values))``, whatever ``workers`` is, and each run, taken at
     all of the row's m values, is one task.  The tasks are mapped in
     grid order over a process pool of ``min(workers, tasks)`` processes,
-    or in this process when that is 1; the pool's modules are imported
-    only when a pool is made, so a run that never forks does not load
-    them.  Meanwhile the parent evaluates every point's bounds, each
-    once per distinct argument set: ``baseline_bound`` per (m, K),
+    or in this process, without importing the pool, when that is 1.
+    Meanwhile the parent evaluates every point's bounds, each once per
+    distinct argument set: ``baseline_bound`` per (m, K),
     ``disparity_bound`` per (m, K, phi).  Tallies are then reduced in
     grid order, and ``progress`` is called with ``(points_done,
     points_total, result)`` for each point of a row as soon as the row's

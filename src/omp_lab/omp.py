@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -250,65 +250,77 @@ def check_exact_recovery(result: OmpResult, truth: SparseSignal) -> bool:
 
 
 def recovers_stack(
-    support: np.ndarray, values: np.ndarray, off: Iterable[np.ndarray]
+    support: np.ndarray,
+    values: np.ndarray,
+    off: Iterable[np.ndarray],
+    divisor: Sequence[float],
 ) -> np.ndarray:
-    """Does OMP recover each row's signal?  One boolean per stack row.
+    """Does OMP recover each row's signal?  A T-by-M boolean array.
 
-    Row ``s`` is the problem ``A = [support[s] | block^T]``,
-    ``x = (values[s], 0, ..., 0)``: its K support columns come first (an
-    S-by-m-by-K stack, S-by-K values), and its other columns are the
-    rows of the (n-K)-by-m block that ``off`` yields for it.  The answer
-    is what ``check_exact_recovery(run_omp(A, A @ x, K), x)`` gives, and
-    it comes in two steps.
+    Row ``(t, j)`` is the problem ``A = [support[t, j] | block_t^T /
+    divisor[j]]``, ``x = (values[t], 0, ..., 0)``, for a T-by-M-by-m-by-K
+    ``support``, T-by-K ``values`` and M ``divisor``; ``block_t`` is the
+    (n-K)-by-m block ``off`` yields for trial index ``t``.  The answer is
+    what ``check_exact_recovery(run_omp(A, A @ x, K), x)`` gives, in two
+    steps.
 
     First, the all-on-support path: OMP on the support columns alone,
-    under the rules of :func:`run_omp`.  The pick is
-    ``argmax_j |<r, a_j>|`` over the columns not yet chosen, the
-    smallest index on exact ties; it is appended to a thin QR by CGS2;
-    and the coefficients come from ``np.linalg.solve`` on R.  All rows
-    advance one iteration at a time, so the per-iteration numpy calls
-    are paid once per stack rather than once per row, and there is no
-    early stop.  Iteration ``k`` records its residual ``u_k`` and its
-    winning correlation ``c_k``.
+    under the rules of :func:`run_omp` (pick ``argmax_j |<r, a_j>|``
+    over the columns not yet chosen, the smallest index on exact ties;
+    append it to a thin QR by CGS2; solve on R), with all rows advancing
+    one iteration at a time and no early stop.  Iteration ``k`` records
+    its residual ``u_k`` and its winning correlation ``c_k``.
 
-    Second, the off-support columns, one matrix product per row.  OMP
-    on ``A`` follows this path through iteration ``k`` unless some
-    off-support column has ``|<g_j, u_k>| > c_k``; on an exact tie the
-    support column wins, as its index is smaller.  An off-support pick
-    leaves a nonzero of ``x`` without a column, so the fit misses it by
-    at least its magnitude.  Row ``s`` is therefore recovered iff
-    ``max_j |<g_j, u_k>| <= c_k`` at every ``k`` and the K-column fit
-    lies within ``RECOVERY_TOL`` of ``values[s]`` (up to a nonzero that
-    is itself within ``RECOVERY_TOL`` of 0).  ``off`` is consumed after
-    the path, one block per row in row order, so its blocks may share
-    one buffer.
+    Second, one product per row.  OMP on ``A`` leaves this path at
+    iteration ``k`` iff some off-support column beats ``c_k``; an exact
+    tie goes to the support column, whose index is smaller.  An
+    off-support pick leaves a nonzero of ``x`` without a column.  So row
+    ``(t, j)`` is recovered iff ``|block_t u_k| <= c_k * divisor[j]``
+    entrywise at every ``k`` (exactly ``c_k`` at divisor 1.0) and the
+    K-column fit lies within ``RECOVERY_TOL`` of ``values[t]`` (up to a
+    nonzero itself within ``RECOVERY_TOL`` of 0).  ``off`` is read after
+    the path, one block per trial index in order, so its blocks may
+    share one buffer; each product goes to one reused buffer.
 
     Raises
     ------
     ValueError
         On shape mismatch, ``K > m``, or ``off`` not yielding one block
-        per row.
+        per trial index.
     DegenerateColumnError
         If a winning column is dependent on the columns its row already
-        chose; ``row`` is the first such row at the earliest such
-        iteration.
+        chose; ``row`` is ``t * M + j`` of the first such row at the
+        earliest such iteration.
     """
-    recovered, residuals, wins = _support_path(support, values)
-    S = recovered.size
-    s = -1
-    for s, block in enumerate(off):
-        if s == S:
-            break
-        recovered[s] &= bool(np.all(np.abs(block @ residuals[s]) <= wins[s]))
-    if s != S - 1:
-        raise ValueError(f"off must yield one block for each of the {S} rows")
+    A = np.asarray(support, dtype=float)
+    X = np.asarray(values, dtype=float)
+    divisor = np.asarray(divisor, dtype=float)
+    if A.ndim != 4 or X.shape != (len(A), A.shape[3]) or divisor.shape != A.shape[1:2]:
+        shapes = f"{A.shape}, {X.shape} and {divisor.shape}"
+        raise ValueError(f"need T-by-M-by-m-by-K, T-by-K and M shapes, got {shapes}")
+    T, M, m, K = A.shape
+    recovered, residuals, wins = _support_path(A.reshape(-1, m, K), np.repeat(X, M, 0))
+    recovered = recovered.reshape(T, M)
+    residuals = residuals.reshape(T, M, m, K)
+    limits = wins.reshape(T, M, K) * divisor[:, None]
+    blocks = iter(off)
+    t = -1
+    for t, block in zip(range(T), blocks):
+        if t == 0:
+            product = np.empty((len(block), K))
+        for j in range(M):
+            np.abs(np.matmul(block, residuals[t, j], out=product), out=product)
+            recovered[t, j] &= bool(np.all(product <= limits[t, j]))
+    if t != T - 1 or next(blocks, None) is not None:
+        raise ValueError(f"off must yield one block for each of the {T} trial indices")
     return recovered
 
 
 def _support_path(
-    support: np.ndarray, values: np.ndarray
+    A: np.ndarray, X: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """OMP on each row's support columns alone, all rows at once, by the
+    """OMP on each row's support columns ``A`` (an S-by-m-by-K float
+    stack) alone, with values ``X`` (S-by-K), all rows at once, by the
     rules :func:`recovers_stack` states.
 
     Returns whether each row's K-column fit lies within ``RECOVERY_TOL``
@@ -316,12 +328,6 @@ def _support_path(
     ``U[s]`` is the residual that iteration ``k`` correlates), and the
     winning correlations ``c`` (S-by-K).
     """
-    A = np.asarray(support, dtype=float)
-    X = np.asarray(values, dtype=float)
-    if A.ndim != 3 or X.shape != (A.shape[0], A.shape[2]):
-        raise ValueError(
-            f"need an S-by-m-by-K stack and S-by-K values, got {A.shape} and {X.shape}"
-        )
     S, m, K = A.shape
     if not 1 <= K <= m:
         raise ValueError(f"need 1 <= K <= m, got K={K}, m={m}")

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omp_lab import bounds as bounds_mod
+from omp_lab import montecarlo
 from omp_lab.bounds import (
     BoundResult,
     baseline_bound,
@@ -24,7 +25,9 @@ from omp_lab.bounds import (
     log_baseline_bound_at,
     log_disparity_bound_at,
 )
+from omp_lab.omp import _support_path
 from omp_lab.phi import PhiFunction
+from omp_lab.signals import SignalCase
 
 CS = PhiFunction.cauchy_schwarz()
 D11 = PhiFunction.strongly_decaying(1.1)
@@ -368,3 +371,28 @@ class TestMonotonicity:
                 disparity_bound(m, 1024, K, GAUSS).value
                 >= disparity_bound(m, 1024, K, CS).value - 1e-12
             )
+
+
+class TestDerivation:
+    """The per-iteration factor of the bounds' derivation (the
+    ``bounds`` module docstring), checked on reduced trials."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [SignalCase.flat(), SignalCase.decaying(1.1), SignalCase.decaying(1.2)],
+        ids=lambda c: c.label(),
+    )
+    def test_per_iteration_factor_on_the_support_path(self, case):
+        # iteration k (0-based) of the all-on-support path has K - k
+        # entries of x left, so c_k / ||u_k|| >= sigma_min(R) /
+        # sqrt(phi(K - k)).  Gaussian nonzeros are left out: for them
+        # phi holds only with high probability.
+        m, K, trials = 200, 30, 400
+        support, values, _ = montecarlo._draw_trials(1024, K, case, 4, (m,), range(trials))
+        R = support[:, 0]
+        _, residuals, wins = _support_path(R, values)
+        factor = wins / np.linalg.norm(residuals, axis=1)
+        sigma_min = np.linalg.svd(R, compute_uv=False)[:, -1]
+        phi = montecarlo.phi_for_case(case).values(K)[::-1]
+        ratio = factor / (sigma_min[:, None] / np.sqrt(phi))
+        assert ratio.min() >= 1.0, ratio.min()

@@ -3,6 +3,7 @@
 import concurrent.futures
 import math
 import statistics
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -156,9 +157,10 @@ def _dense_reduction(A, signal):
 
 
 def _one_trial(m, n, K, case, seed, key):
-    """(R, G, x_S) of trial key ``key`` at one m, as a task draws it."""
-    support, values, off = montecarlo._draw_trials(n, K, case, seed, (m,), [key])
-    return support[0], next(off), values[0]
+    """(R, G, x_S) of trial key ``key`` at one m, as a task draws it, with
+    ``G = Z * (1/sqrt(m))``."""
+    support, values, normals = montecarlo._draw_trials(n, K, case, seed, (m,), [key])
+    return support[0, 0], next(normals) * (1.0 / math.sqrt(m)), values[0]
 
 
 def _pursue(R, G, x_s):
@@ -171,7 +173,7 @@ def _pursue(R, G, x_s):
 
 def _decide(R, G, x_s):
     """recovers_stack's decision on one reduced trial."""
-    return bool(recovers_stack(R[None], x_s[None], [G])[0])
+    return bool(recovers_stack(R[None, None], x_s[None], [G], [1.0])[0, 0])
 
 
 class TestReducedTrial:
@@ -191,21 +193,23 @@ class TestReducedTrial:
         assert np.array_equal(x_s, dense.values[dense.support])
 
     def test_sampler_moments(self):
-        # E[R_ii^2] = (m - i)/m, E[R_ij^2] = E[G_ij^2] = 1/m; a chi-square
-        # with m - i + 1 degrees of freedom would miss by 1/m = 5 SE here
+        # E[R_ii^2] = (m - i)/m, E[R_ij^2] = 1/m, E[Z_ij^2] = 1; a
+        # chi-square with m - i + 1 degrees of freedom would miss by
+        # 1/m = 5 SE here
         m, n, K, draws = 40, 48, 8, 2000
-        Rs, _, off = montecarlo._draw_trials(
+        Rs, _, normals = montecarlo._draw_trials(
             n, K, SignalCase.flat(), 1, (m,), range(draws)
         )
-        Gs = [G.copy() for G in off]
+        Rs = Rs[:, 0]
+        Zs = np.array([Z.copy() for Z in normals])
         diag_sq = np.mean([np.diagonal(R) ** 2 for R in Rs], axis=0)
         expected = (m - np.arange(K)) / m
         se = np.sqrt(2.0 * (m - np.arange(K)) / m**2 / draws)
         assert np.all(np.abs(diag_sq - expected) < 4.0 * se)
         upper = np.array([R[np.triu_indices(K, 1)] for R in Rs])
-        for block in (upper, np.array(Gs)):
-            assert abs(np.mean(block**2) * m - 1.0) < 4.0 * np.sqrt(2.0 / block.size)
-            assert abs(np.mean(block) * np.sqrt(m)) < 4.0 / np.sqrt(block.size)
+        for block in (upper * np.sqrt(m), Zs):
+            assert abs(np.mean(block**2) - 1.0) < 4.0 * np.sqrt(2.0 / block.size)
+            assert abs(np.mean(block)) < 4.0 / np.sqrt(block.size)
 
     def test_decision_on_designed_inputs(self):
         x_s = np.array([1.0, 2.0, 3.0])
@@ -241,7 +245,7 @@ class TestReducedTrial:
                     decisions.append(reduced_decision)
                     first_off.append(prefix if off.any() else None)
                 Rs, Gs, xs = zip(*rows)
-                stacked = recovers_stack(np.stack(Rs), np.stack(xs), Gs)
+                stacked = recovers_stack(np.stack(Rs)[:, None], np.stack(xs), Gs, [1.0])[:, 0]
                 assert stacked.tolist() == decisions, (m, case.label())
                 mixed_stacks += any(decisions) and 1 in first_off
         assert len(outcomes) >= 500
@@ -251,29 +255,29 @@ class TestReducedTrial:
 
     @pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.label())
     def test_stack_rows_equal_one_trial_sampler(self, case):
-        # one draw over trial keys 40 and 41 at three m values, rows
-        # ordered (key, m), equals two one-key draws, bit for bit
+        # one draw over trial keys 40 and 41 at three m values equals
+        # two one-key draws, bit for bit
         ms, keys = (50, 60, 70), (40, 41)
 
         def draw(keys):
-            support, values, off = montecarlo._draw_trials(128, 6, case, 8, ms, keys)
-            return support, values, np.array([block.copy() for block in off])
+            support, values, normals = montecarlo._draw_trials(128, 6, case, 8, ms, keys)
+            return support, values, np.array([Z.copy() for Z in normals])
 
         both = draw(keys)
-        assert [a.shape for a in both] == [(6, 6, 6), (6, 6), (6, 122, 6)]
+        assert [a.shape for a in both] == [(2, 3, 6, 6), (2, 6), (2, 122, 6)]
         for part, *singles in zip(both, draw(keys[:1]), draw(keys[1:])):
             assert part.tobytes() == np.concatenate(singles).tobytes()
 
     def test_row_shares_normals_and_nonzeros_across_m(self, monkeypatch):
         # trials 3 and 4 of row 1 at four m values, bit for bit: the
         # MATRIX stream of the row's key r * trials + t yields trial t's
-        # R at each m in turn and then Z_t, and its block at each m is
-        # Z_t * (1/sqrt(m)); its x rows are equal; its R's differ
+        # R at each m in turn and then Z_t, which the pursuit gets once
+        # with the divisors sqrt(m); its R's differ across m
         stacks = []
 
-        def record(support, values, off):
-            stacks.append((support.copy(), values.copy(), [b.copy() for b in off]))
-            return np.zeros(len(support), dtype=bool)
+        def record(support, values, normals, divisor):
+            stacks.append((support.copy(), values.copy(), [Z.copy() for Z in normals], divisor))
+            return np.zeros(support.shape[:2], dtype=bool)
 
         monkeypatch.setattr(montecarlo, "recovers_stack", record)
         ms, trials, row, first, count = (30, 40, 50, 60), 10, 1, 3, 2
@@ -282,23 +286,22 @@ class TestReducedTrial:
             EQ_N, EQ_K, case, 5, trials, ms, row, first, count
         )
         assert counts == (0, 0, 0, 0)
-        ((support, values, blocks),) = stacks
-        assert len(support) == len(values) == len(blocks) == count * len(ms)
+        ((support, values, blocks, divisor),) = stacks
+        assert support.shape[:2] == (count, len(ms))
+        assert len(values) == len(blocks) == count
+        assert divisor.tobytes() == np.array([math.sqrt(m) for m in ms]).tobytes()
         diagonal = np.arange(EQ_K)
         for i, t in enumerate(range(first, first + count)):
             stream = StreamKey(5, row * trials + t, Purpose.MATRIX).generator()
-            rows = range(i * len(ms), (i + 1) * len(ms))
-            for s, m in zip(rows, ms):
+            for j, m in enumerate(ms):
                 R = stream.standard_normal((EQ_K, EQ_K)) * (1.0 / math.sqrt(m))
                 R = np.triu(R, 1)
                 R[diagonal, diagonal] = np.sqrt(stream.chisquare(m - diagonal) / m)
-                assert support[s].tobytes() == R.tobytes()
+                assert support[i, j].tobytes() == R.tobytes()
             z = stream.standard_normal((EQ_N - EQ_K, EQ_K))
-            for s, m in zip(rows, ms):
-                assert blocks[s].tobytes() == (z * (1.0 / math.sqrt(m))).tobytes()
-                assert values[s].tobytes() == values[rows[0]].tobytes()
-            assert len({support[s].tobytes() for s in rows}) == len(ms)
-        assert not np.array_equal(values[0], values[len(ms)])
+            assert blocks[i].tobytes() == z.tobytes()
+            assert len({R.tobytes() for R in support[i]}) == len(ms)
+        assert not np.array_equal(values[0], values[1])
 
     @pytest.mark.parametrize(
         "case,purposes",
@@ -336,10 +339,26 @@ class TestReducedTrial:
         for K in (33, 64, 100):
             assert 8 * K * K * montecarlo._stack_size(K) <= 2 * 1024 * 1024
 
+    def test_task_memory_peak(self):
+        # one task of a 9-m row at K = 30, n = 1024 (28 trial indices, 252
+        # stack rows) peaks near 7.7 MiB; forming one (n-K)-by-(9 K)
+        # product per trial index instead reaches 9.7 to 10 MiB
+        ms = tuple(range(100, 301, 25))
+        # a first call's lazy imports are not part of a task's peak
+        montecarlo._count_successes(64, 3, SignalCase.flat(), 3, 1, (10,), 0, 0, 1)
+        tracemalloc.start()
+        try:
+            montecarlo._count_successes(1024, 30, SignalCase.flat(), 3, 28, ms, 0, 0, 28)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8.5 * 2**20, peak / 2**20
+
     def test_task_across_a_point_boundary(self):
         # trials 2..7 of row 1, 10 trials per point, at m = 24, 48 and 72
         # (0, 1 and 5 successes): every trial is decided as run_omp on its
-        # [R_m | G_m^T] decides it, drawn from the row's key of the trial
+        # [R_m | G_m^T] decides it, drawn from the row's key of the trial,
+        # with G_m = Z * (1/sqrt(m))
         ms, trials, row, first, count = (24, 48, 72), 10, 1, 2, 6
         case = SignalCase.flat()
         counts = montecarlo._count_successes(
@@ -347,11 +366,12 @@ class TestReducedTrial:
         )
         want = [0, 0, 0]
         for t in range(first, first + count):
-            support, values, off = montecarlo._draw_trials(
+            support, values, normals = montecarlo._draw_trials(
                 EQ_N, EQ_K, case, 6, ms, [row * trials + t]
             )
-            for j, G in enumerate(off):
-                want[j] += _pursue(support[j], G, values[j])[1]
+            Z = next(normals)
+            for j, m in enumerate(ms):
+                want[j] += _pursue(support[0, j], Z * (1.0 / math.sqrt(m)), values[0])[1]
         assert counts == tuple(want) == (0, 1, 5)
 
     @pytest.mark.slow

@@ -240,9 +240,15 @@ def _support_first(A, x):
     return A[:, support], x[support], A[:, off].T
 
 
+def _decide_rows(support, values, blocks):
+    """recovers_stack on one row per trial index (T = S, M = 1), with
+    divisor 1.0: row s is ``[support[s] | blocks[s]^T]``."""
+    return recovers_stack(support[:, None], values, blocks, [1.0])[:, 0]
+
+
 class TestRecoversStack:
     """recovers_stack decides each row as run_omp plus the check do on
-    ``[support | off^T]``."""
+    ``[support | off^T / divisor]``."""
 
     @staticmethod
     def _reference(support, values, blocks):
@@ -267,7 +273,7 @@ class TestRecoversStack:
         )
         support, values = np.stack(support), np.stack(values)
         want = self._reference(support, values, blocks)
-        assert recovers_stack(support, values, blocks).tolist() == want
+        assert _decide_rows(support, values, blocks).tolist() == want
         assert 10 <= sum(want) <= 50
 
     def test_tie_breaks_to_smallest_index(self):
@@ -279,7 +285,7 @@ class TestRecoversStack:
         support = np.stack([col[:, None], col[:, None]])
         values = np.ones((2, 1))
         blocks = [np.stack([col, other]), np.stack([np.nextafter(col, 2.0), other])]
-        assert recovers_stack(support, values, blocks).tolist() == [True, False]
+        assert _decide_rows(support, values, blocks).tolist() == [True, False]
         assert self._reference(support, values, blocks) == [True, False]
 
     def test_exact_tie_with_a_later_winning_column(self):
@@ -296,7 +302,7 @@ class TestRecoversStack:
         beat[0, 2] = 1.0 + 2.0**-52
         blocks = [tie, beat]
         assert self._reference(support, values, blocks) == [True, False]
-        assert recovers_stack(support, values, blocks).tolist() == [True, False]
+        assert _decide_rows(support, values, blocks).tolist() == [True, False]
 
     def test_row_alone_equals_row_in_stack(self):
         # reduced trials near the transition (m=60, K=10, n=256): every
@@ -308,9 +314,9 @@ class TestRecoversStack:
         support[:, diagonal, diagonal] = np.sqrt(rng.chisquare(m - diagonal, (rows, K)) / m)
         values = rng.standard_normal((rows, K))
         blocks = rng.standard_normal((rows, n - K, K)) / np.sqrt(m)
-        stacked = recovers_stack(support, values, blocks)
+        stacked = _decide_rows(support, values, blocks)
         alone = [
-            recovers_stack(support[s : s + 1], values[s : s + 1], blocks[s : s + 1])[0]
+            _decide_rows(support[s : s + 1], values[s : s + 1], blocks[s : s + 1])[0]
             for s in range(rows)
         ]
         assert stacked.tolist() == alone
@@ -327,7 +333,7 @@ class TestRecoversStack:
         support = np.stack([healthy, np.column_stack([a, 2.0 * a]), healthy])
         values = np.ones((3, 2))
         with pytest.raises(DegenerateColumnError) as info:
-            recovers_stack(support, values, [np.zeros((1, 3))] * 3)
+            _decide_rows(support, values, [np.zeros((1, 3))] * 3)
         assert (info.value.iteration, info.value.index, info.value.row) == (2, 0, 1)
 
     def test_error_pickles_with_its_row(self):
@@ -335,21 +341,58 @@ class TestRecoversStack:
         assert (err.iteration, err.index, err.row) == (3, 17, 5)
         assert str(err) == str(DegenerateColumnError(3, 17))
 
+    def test_divisor_scales_each_m(self):
+        # one trial index at M = 3: the off-support row 2 col ties with
+        # the support column col at divisor 2, so the support column
+        # wins; at divisor 1 the row wins, and at divisor 4 it loses.
+        # Rows (0, 1) and (0, 2) match run_omp on [R | block^T / d].
+        col = np.array([1.0, 1.0]) / np.sqrt(2)
+        other = np.array([1.0, -1.0]) / np.sqrt(2)
+        support = np.stack([col[:, None]] * 3)[None]
+        block = np.stack([2.0 * col, other])
+        recovered = recovers_stack(support, np.ones((1, 1)), [block], [1.0, 2.0, 4.0])
+        assert recovered.tolist() == [[False, True, True]]
+        want = self._reference(support[0, 1:], np.ones((2, 1)), [block / 2.0, block / 4.0])
+        assert want == [True, True]
+
+    def test_row_equals_its_one_row_stack(self):
+        # a T-by-M stack decides row (t, j) as the one-row stack of
+        # support[t, j], values[t], blocks[t] and divisor[j] does
+        rng = np.random.default_rng(5)
+        T, M, m, K, n_off = 8, 3, 12, 4, 20
+        support = rng.standard_normal((T, M, m, K))
+        values = rng.standard_normal((T, K))
+        blocks = rng.standard_normal((T, n_off, m))
+        divisor = np.sqrt([2.0, 3.0, 5.0])
+        alone = [
+            [
+                recovers_stack(
+                    support[t, j][None, None], values[t][None], blocks[t][None], divisor[j][None]
+                )[0, 0]
+                for j in range(M)
+            ]
+            for t in range(T)
+        ]
+        assert recovers_stack(support, values, blocks, divisor).tolist() == alone
+        assert 0 < np.sum(alone) < T * M
+
     def test_shape_validation(self):
-        support = np.stack([np.eye(4, 2)] * 2)
+        support = np.stack([np.eye(4, 2)] * 2)[:, None]
         blocks = [np.zeros((3, 4))] * 2
         with pytest.raises(ValueError):
-            recovers_stack(support[0], np.ones((2, 2)), blocks)
+            recovers_stack(support[0], np.ones((2, 2)), blocks, [1.0])
         with pytest.raises(ValueError):
-            recovers_stack(support, np.ones((2, 3)), blocks)
+            recovers_stack(support, np.ones((2, 3)), blocks, [1.0])
         with pytest.raises(ValueError):
-            recovers_stack(np.zeros((2, 2, 3)), np.ones((2, 3)), blocks)
+            recovers_stack(np.zeros((2, 1, 2, 3)), np.ones((2, 3)), blocks, [1.0])
         with pytest.raises(ValueError):
-            recovers_stack(support, np.ones((2, 2)), blocks[:1])
+            recovers_stack(support, np.ones((2, 2)), blocks, [1.0, 1.0])
         with pytest.raises(ValueError):
-            recovers_stack(support, np.ones((2, 2)), blocks * 2)
+            recovers_stack(support, np.ones((2, 2)), blocks[:1], [1.0])
         with pytest.raises(ValueError):
-            recovers_stack(support, np.ones((2, 2)), [np.zeros((3, 5))] * 2)
+            recovers_stack(support, np.ones((2, 2)), blocks * 2, [1.0])
+        with pytest.raises(ValueError):
+            recovers_stack(support, np.ones((2, 2)), [np.zeros((3, 5))] * 2, [1.0])
 
 
 class TestBruteForce:
