@@ -54,9 +54,13 @@ Derivation
 All arithmetic runs in the log domain: with n - K in the thousands the
 per-term factors sit extremely close to 1, and ``log(1 - e^-a)`` is
 computed by the standard two-branch rule so neither tiny nor huge ``a``
-loses precision.  The maximization is a nested grid scan: 1025 evenly
-spaced points over ``[0, U]``, then twice more over the two grid
-neighbours of the best point, which pins eps to about ``U / 2.7e8``.
+loses precision.  The maximization is one coarse-to-fine search over
+every queried point at once (:func:`maximize_bounds`): 17 evenly
+spaced eps over ``[0, U]``, then 9 more rounds of 17 between the two
+grid neighbours of the best one, which pins eps to about ``U / 2.1e9``.
+The disparity objective of the whole batch is one points-by-K-by-17
+array per round; a point with a smaller K pads its rows with terms of
+exactly -0.0, so a point gets the same doubles in any batch as alone.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -77,12 +81,17 @@ __all__ = [
     "baseline_interval_upper",
     "log_disparity_bound_at",
     "log_baseline_bound_at",
+    "maximize_bounds",
     "disparity_bound",
     "baseline_bound",
 ]
 
-_GRID_POINTS = 1024
-_GRID_ROUNDS = 3
+# The maximizer's search: this many grid steps per round, and rounds.
+# Each round narrows the interval to two steps, a factor 8, so the last
+# step is U / (16 * 8^9), about U / 2.1e9.
+_SEARCH_POINTS = 16
+_SEARCH_ROUNDS = 10
+_SEARCH_FRACTIONS = np.arange(_SEARCH_POINTS + 1) / _SEARCH_POINTS
 
 _LN2 = math.log(2.0)
 
@@ -184,6 +193,57 @@ def baseline_interval_upper(m: int, K: int) -> float:
     return math.sqrt(m / K) - 1.0
 
 
+def _disparity_columns(m: int, K: int, phi: PhiFunction, rows: int) -> np.ndarray:
+    """``phi(k)`` and ``0.5 log(pi m / (2 phi(k)))`` for k = 1..rows, as a
+    2-by-rows-by-1 array.  Past K the rows read 1 and +inf: the +inf
+    makes log x_k = -inf, whose term is exactly -0.0."""
+    out = np.empty((2, rows, 1))
+    out[0] = 1.0
+    out[1] = np.inf
+    out[0, :K, 0] = phik = phi.values(K)
+    # math.log per k, so the constant is the same double at every size
+    out[1, :K, 0] = [0.5 * math.log(math.pi * m / (2.0 * p)) for p in phik]
+    return out
+
+
+def _log_disparity(
+    m: Union[int, np.ndarray],
+    n_minus_k: Union[int, np.ndarray],
+    columns: np.ndarray,
+    eps: np.ndarray,
+    eta: np.ndarray,
+) -> np.ndarray:
+    """The disparity objective at ``eps >= 0`` with ``eta = 1 - sqrt(K/m) -
+    eps > 0``.
+
+    ``eps`` and ``eta`` have shape (..., G); ``m`` and ``n_minus_k``
+    broadcast to it, and ``columns`` is :func:`_disparity_columns` with
+    the same leading axes, (..., 2, rows, 1).  The terms fill one (...,
+    rows, G) buffer and are added in k order to +0.0, so all -0.0 terms
+    (the padding rows among them) sum to +0.0; every value is the double
+    of a term-by-term loop over the point's own K rows.
+    """
+    logx = np.divide((-(0.5 * m * eta * eta))[..., None, :], columns[..., 0, :, :])
+    logx -= columns[..., 1, :, :]
+    logx -= np.log(eta)[..., None, :]
+    terms = _log1mexp_of_negated(logx)  # -inf where x_k >= 1
+    total = np.zeros(eta.shape)
+    for k in range(terms.shape[-2]):
+        total += terms[..., k, :]
+    return log1mexp(0.5 * m * eps * eps) + n_minus_k * total
+
+
+def _log_baseline(
+    m: Union[int, np.ndarray],
+    pairs: Union[int, np.ndarray],
+    eps: np.ndarray,
+    gap: np.ndarray,
+) -> np.ndarray:
+    """The baseline objective at ``eps`` with ``gap = sqrt(m/K) - 1 - eps``
+    and ``pairs = K (n - K)``."""
+    return log1mexp(0.5 * m * eps * eps) + pairs * log1mexp(0.5 * gap * gap)
+
+
 def log_disparity_bound_at(
     m: int,
     n: int,
@@ -204,25 +264,10 @@ def log_disparity_bound_at(
     eta = 1.0 - math.sqrt(K / m) - eps_arr
     ok = (eps_arr > 0.0) & (eta > 0.0)
     if np.any(ok):
-        phik = phi.values(K)
-        log_norm = np.array([0.5 * math.log(math.pi * m / (2.0 * p)) for p in phik])
-
-        def objective(e: np.ndarray, h: np.ndarray) -> np.ndarray:
-            # Rows are k = 1..K, columns the chunk's feasible eps, in one
-            # K-by-chunk buffer.  The per-k constant goes through
-            # math.log and the rows are added in k order to +0.0 (so all
-            # -0.0 terms sum to +0.0), which gives every value the same
-            # double as a term-by-term loop.
-            logx = np.divide(-(0.5 * m * h * h), phik[:, None])
-            logx -= log_norm[:, None]
-            logx -= np.log(h)
-            terms = _log1mexp_of_negated(logx)  # -inf where x_k >= 1
-            sum_terms = np.zeros(h.shape)
-            for row in terms:
-                sum_terms += row
-            return log1mexp(0.5 * m * e * e) + (n - K) * sum_terms
-
-        out[ok] = _by_chunks(objective, eps_arr[ok], eta[ok])
+        columns = _disparity_columns(m, K, phi, K)
+        out[ok] = _by_chunks(
+            lambda e, h: _log_disparity(m, n - K, columns, e, h), eps_arr[ok], eta[ok]
+        )
     return float(out[0]) if scalar else out
 
 
@@ -245,9 +290,7 @@ def log_baseline_bound_at(
     ok = (eps_arr > 0.0) & (gap > 0.0)
     if np.any(ok):
         out[ok] = _by_chunks(
-            lambda e, g: log1mexp(0.5 * m * e * e) + (K * (n - K)) * log1mexp(0.5 * g * g),
-            eps_arr[ok],
-            gap[ok],
+            lambda e, g: _log_baseline(m, K * (n - K), e, g), eps_arr[ok], gap[ok]
         )
     return float(out[0]) if scalar else out
 
@@ -259,58 +302,94 @@ def _clamp_exp(log_value: float) -> float:
 
 
 def _maximize(
-    upper: float,
+    upper: np.ndarray,
     log_f: Callable[[np.ndarray], np.ndarray],
-) -> BoundResult:
-    """Maximize a log objective over ``[0, upper]`` by a nested grid scan.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Maximize P log objectives, the p-th over ``[0, upper[p]]``, by one
+    coarse-to-fine search; return the maxima and their maximizers.
 
-    Each of ``_GRID_ROUNDS`` rounds evaluates ``log_f`` on
-    ``_GRID_POINTS + 1`` evenly spaced points, the first over
-    ``[0, upper]`` and each later one between the two grid neighbours of
-    the previous round's best point.  Both objectives are ``-inf`` at 0
-    and at an open upper end, so the scan never picks either.
-    A nonpositive ``upper`` yields the infeasible result, with
+    ``log_f`` maps a P-by-``_SEARCH_POINTS + 1`` grid, row p for
+    objective p, to its values.  Each of ``_SEARCH_ROUNDS`` rounds
+    evaluates ``_SEARCH_POINTS + 1`` evenly spaced points per objective,
+    the first over ``[0, upper]`` and each later one between the two grid
+    neighbours of the previous round's best point, so a row's result
+    does not depend on the other rows.  Both objectives are ``-inf`` at
+    0 and at an open upper end, so the search never picks either.
+    """
+    rows = np.arange(upper.size)
+    lo, hi = np.zeros(upper.size), upper
+    for _ in range(_SEARCH_ROUNDS):
+        grid = lo[:, None] + (hi - lo)[:, None] * _SEARCH_FRACTIONS
+        grid[:, -1] = hi
+        values = log_f(grid)
+        best = np.argmax(values, axis=1)
+        lo = grid[rows, np.maximum(best - 1, 0)]
+        hi = grid[rows, np.minimum(best + 1, _SEARCH_POINTS)]
+    return values[rows, best], grid[rows, best]
+
+
+def maximize_bounds(
+    disparity: Sequence[Tuple[int, int, int, PhiFunction]] = (),
+    baseline: Sequence[Tuple[int, int, int]] = (),
+) -> Tuple[List[BoundResult], List[BoundResult]]:
+    """Maximize the disparity-aware bound at each ``(m, n, K, phi)`` and
+    the baseline bound at each ``(m, n, K)``, in one search.
+
+    Returns the two lists of results, aligned with the arguments.  Each
+    result is the same as the query's alone would give: the disparity
+    interval includes its upper endpoint, the baseline's is open.  A
+    nonpositive interval endpoint yields the infeasible result, with
     ``value = 0``, rather than an error, so sweeps can record every
     point.
     """
-    if not upper > 0.0:
-        return BoundResult(
-            value=0.0,
-            log_value=-np.inf,
-            epsilon_star=None,
-            interval_upper=upper,
-            feasible=False,
+    for m, n, K, *_ in (*disparity, *baseline):
+        _check_problem(m, n, K)
+    d_upper = [disparity_interval_upper(m, K, phi) for m, _, K, phi in disparity]
+    b_upper = [baseline_interval_upper(m, K) for m, _, K in baseline]
+    d_live = [q for q, u in zip(disparity, d_upper) if u > 0.0]
+    b_live = [(m, K * (n - K), u) for (m, n, K), u in zip(baseline, b_upper) if u > 0.0]
+    rows = max((K for _, _, K, _ in d_live), default=0)
+    # per-point constants, each a column with one row per live point
+    d_m, d_n_minus_k, d_width = np.array(
+        [(m, n - K, 1.0 - math.sqrt(K / m)) for m, n, K, _ in d_live]
+    ).reshape(-1, 3, 1).transpose(1, 0, 2)
+    d_columns = np.array(
+        [_disparity_columns(m, K, phi, rows) for m, _, K, phi in d_live]
+    ).reshape(len(d_live), 2, rows, 1)
+    b_m, b_pairs, b_width = np.array(b_live).reshape(-1, 3, 1).transpose(1, 0, 2)
+
+    def log_f(grid: np.ndarray) -> np.ndarray:
+        d, b = grid[: len(d_live)], grid[len(d_live) :]
+        return np.concatenate(
+            [
+                _log_disparity(d_m, d_n_minus_k, d_columns, d, d_width - d),
+                _log_baseline(b_m, b_pairs, b, b_width - b),
+            ]
         )
-    lo, hi = 0.0, upper
-    for _ in range(_GRID_ROUNDS):
-        grid = np.linspace(lo, hi, _GRID_POINTS + 1)
-        values = log_f(grid)
-        i = int(np.argmax(values))
-        lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, _GRID_POINTS)])
-    best_val = float(values[i])
-    return BoundResult(
-        value=_clamp_exp(best_val),
-        log_value=best_val,
-        epsilon_star=float(grid[i]),
-        interval_upper=upper,
-        feasible=True,
-    )
+
+    upper = np.array([u for u in d_upper + b_upper if u > 0.0])
+    found = zip(*(a.tolist() for a in _maximize(upper, log_f)))
+
+    def results(uppers: List[float]) -> List[BoundResult]:
+        # the live points are in found in argument order, disparity first
+        out = []
+        for u in uppers:
+            if u > 0.0:
+                log_value, eps = next(found)
+                out.append(BoundResult(_clamp_exp(log_value), log_value, eps, u, True))
+            else:
+                out.append(BoundResult(0.0, -np.inf, None, u, False))
+        return out
+
+    return results(d_upper), results(b_upper)
 
 
 def disparity_bound(m: int, n: int, K: int, phi: PhiFunction) -> BoundResult:
     """Maximize the disparity-aware bound over its feasible interval,
     which includes its upper endpoint."""
-    _check_problem(m, n, K)
-    return _maximize(
-        disparity_interval_upper(m, K, phi),
-        lambda e: log_disparity_bound_at(m, n, K, phi, e),
-    )
+    return maximize_bounds(disparity=[(m, n, K, phi)])[0][0]
 
 
 def baseline_bound(m: int, n: int, K: int) -> BoundResult:
     """Maximize the baseline bound over its open feasible interval."""
-    _check_problem(m, n, K)
-    return _maximize(
-        baseline_interval_upper(m, K),
-        lambda e: log_baseline_bound_at(m, n, K, e),
-    )
+    return maximize_bounds(baseline=[(m, n, K)])[1][0]

@@ -52,8 +52,8 @@ __all__ = ["main", "run"]
 # to drop.  Freezing it first moves every object alive then into the
 # permanent generation, which those collections skip.  Handlers run in
 # reverse order of registration, so any registered after this import
-# (a process pool's among them) run before the freeze; nothing changes
-# before exit.
+# run before the freeze; nothing changes before exit.  Forked workers
+# leave through os._exit and run no exit handler.
 atexit.register(gc.freeze)
 
 SEED_ENV_VAR = "OMP_LAB_SEED"
@@ -358,9 +358,10 @@ def _cmd_bound(ns: argparse.Namespace) -> int:
     phi = _resolve_phi(ns.phi, ns.alpha)
 
     rows = []
-    for m in m_values:
-        new = bounds_mod.disparity_bound(m, n, K, phi)
-        base = bounds_mod.baseline_bound(m, n, K)
+    news, bases = bounds_mod.maximize_bounds(
+        [(m, n, K, phi) for m in m_values], [(m, n, K) for m in m_values]
+    )
+    for m, new, base in zip(m_values, news, bases):
         rows.append((m, n, K, phi, "new", new))
         rows.append((m, n, K, None, "existing", base))
         eps = "-" if new.epsilon_star is None else f"{new.epsilon_star:.6f}"

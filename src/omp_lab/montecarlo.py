@@ -85,10 +85,11 @@ change any result.
 
 from __future__ import annotations
 
-import functools
 import math
+import os
+import pickle
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import BinaryIO, Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -306,8 +307,7 @@ def _count_successes(
     point of (case, K) row ``row`` as one stack; return the successes of
     each point, aligned with ``ms``.
 
-    The keys are the module docstring's.  Top-level so process pools can
-    pickle it.
+    The keys are the module docstring's.
     """
     first_key = row * trials + first_trial
     keys = range(first_key, first_key + count)
@@ -379,6 +379,118 @@ def wilson_interval(successes: int, trials: int) -> Tuple[float, float]:
     return low, high
 
 
+def _tasks(config: ExperimentConfig) -> List[tuple]:
+    """The argument tuples of :func:`_count_successes` that cover the
+    grid, in grid order: each (case, K) row's trial indices in runs of
+    at most ``max(1, _stack_size(K) // len(m_values))``."""
+    tasks = []
+    trials, ms = config.trials, config.m_values
+    for row, (case, K) in enumerate(
+        (case, K) for case in config.cases for K in config.k_values
+    ):
+        step = max(1, _stack_size(K) // len(ms))
+        for first in range(0, trials, step):
+            count = min(step, trials - first)
+            tasks.append(
+                (config.n, K, case, config.master_seed, trials, ms, row, first, count)
+            )
+    return tasks
+
+
+def _deal(tasks: Sequence[tuple], workers: int) -> List[int]:
+    """The worker of each task: costliest first (cost ``count * K^2``,
+    ties in task order), each to the least-loaded worker (ties to the
+    lowest number)."""
+    cost = [task[-1] * task[1] ** 2 for task in tasks]
+    loads = [0] * workers
+    owners = [0] * len(tasks)
+    for j in sorted(range(len(tasks)), key=lambda j: -cost[j]):
+        owners[j] = i = loads.index(min(loads))
+        loads[i] += cost[j]
+    return owners
+
+
+def _local_tallies(tasks: Sequence[tuple]) -> Iterator[Optional[Tuple[int, ...]]]:
+    """:func:`_forked_tallies` without workers: each task runs here when
+    its counts are read."""
+    yield None
+    for task in tasks:
+        yield _count_successes(*task)
+
+
+def _serve(tasks: Sequence[tuple], share: List[int], out: BinaryIO) -> None:
+    """A worker's loop: run the tasks of ``share`` in order and pickle
+    each one's counts to ``out``, or the first error, then stop."""
+    for j in share:
+        try:
+            reply = (True, _count_successes(*tasks[j]))
+        except Exception as err:
+            reply = (False, err)
+        out.write(pickle.dumps(reply))
+        out.flush()
+        if not reply[0]:
+            return
+
+
+def _forked_tallies(
+    tasks: Sequence[tuple], workers: int
+) -> Iterator[Optional[Tuple[int, ...]]]:
+    """Yield None once the workers run, then each task's counts in task
+    order.
+
+    Forks ``workers`` children, each with a pipe and its share of
+    :func:`_deal`, and reads each task from its owner's pipe.  A task's
+    error is raised here; a worker that ends without its reply raises a
+    ``RuntimeError``.  However the generator ends, every child is killed
+    and reaped first.
+    """
+    import signal  # only a forking run needs it
+
+    owners = _deal(tasks, workers)
+    children: List[Tuple[int, BinaryIO]] = []
+    try:
+        for i in range(workers):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    for _, reader in children:
+                        reader.close()
+                    with open(w, "wb") as out:
+                        _serve(tasks, [j for j, o in enumerate(owners) if o == i], out)
+                    code = 0
+                finally:
+                    # never return into the caller's stack, nor run its
+                    # exit handlers
+                    os._exit(code)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        yield None
+        for j, i in enumerate(owners):
+            pid, reader = children[i]
+            try:
+                ok, reply = pickle.load(reader)
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(
+                    f"worker {i} (pid {pid}) ended without the counts of task {j}"
+                ) from None
+            if not ok:
+                raise reply
+            yield reply
+    finally:
+        for pid, reader in children:
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def run_experiment(
     config: ExperimentConfig,
     workers: int = 1,
@@ -386,58 +498,44 @@ def run_experiment(
 ) -> ExperimentResult:
     """Sweep the config's grid and tally recoveries at every point.
 
-    The whole grid is one task queue.  Each (case, K) row's trial
-    indices are split into runs of at most ``max(1, _stack_size(K) //
+    The whole grid is one task list.  Each (case, K) row's trial indices
+    are split into runs of at most ``max(1, _stack_size(K) //
     len(m_values))``, whatever ``workers`` is, and each run, taken at
-    all of the row's m values, is one task.  The tasks are mapped in
-    grid order over a process pool of ``min(workers, tasks)`` processes,
-    or in this process, without importing the pool, when that is 1.
-    Meanwhile the parent evaluates every point's bounds, each once per
-    distinct argument set: ``baseline_bound`` per (m, K),
-    ``disparity_bound`` per (m, K, phi).  Tallies are then reduced in
-    grid order, and ``progress`` is called with ``(points_done,
-    points_total, result)`` for each point of a row as soon as the row's
-    last task is in, while the pool works on later tasks.  Per-trial
+    all of the row's m values, is one task.  With ``min(workers,
+    tasks)`` above 1 and ``os.fork`` available, that many children are
+    forked; the tasks are dealt before the fork, costliest first
+    (``count * K^2``), each to the least-loaded child, and each child
+    runs its share in task order and pipes back each task's counts.
+    Otherwise the tasks run here, in order.  Meanwhile the parent
+    maximizes every bound in one :func:`~omp_lab.bounds.maximize_bounds`
+    search, over the distinct (m, K, phi) and the distinct (m, K).  It
+    then reads the tasks in grid order, each from its owner, and calls
+    ``progress`` with ``(points_done, points_total, result)`` for each
+    point of a row as soon as the row's last task is in.  Per-trial
     keyed streams make the result identical for every worker count.  A
-    failing trial raises its ``TrialError`` here and cancels the tasks
-    not yet started.
+    failing trial raises its ``TrialError`` here, the first in grid
+    order; on any error every child is killed and reaped first.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     grid = list(config.grid_points())
     trials, ms = config.trials, config.m_values
-    tasks = []
-    for row in range(len(grid) // len(ms)):
-        case, K, _ = grid[row * len(ms)]
-        step = max(1, _stack_size(K) // len(ms))
-        for first in range(0, trials, step):
-            count = min(step, trials - first)
-            tasks.append(
-                (config.n, K, case, config.master_seed, trials, ms, row, first, count)
-            )
-    baseline = functools.cache(
-        lambda m, K: bounds.baseline_bound(m, config.n, K).value
-    )
-    disparity = functools.cache(
-        lambda m, K, phi: bounds.disparity_bound(m, config.n, K, phi).value
-    )
-    points = []
-    successes = [0] * len(grid)
-    # A fork-started pool launches all its processes at the first submit.
+    tasks = _tasks(config)
     workers = min(workers, len(tasks))
-    pool = None
-    if workers > 1:
-        # imported here, so a run that never forks does not load
-        # concurrent.futures, multiprocessing and logging
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=workers)
+    if workers > 1 and hasattr(os, "fork"):
+        tallies = _forked_tallies(tasks, workers)
+    else:
+        tallies = _local_tallies(tasks)
     try:
-        tallies = (map if pool is None else pool.map)(_count_successes, *zip(*tasks))
-        bound_values = [
-            (disparity(m, K, phi_for_case(case)), baseline(m, K))
-            for case, K, m in grid
-        ]
+        next(tallies)  # the workers run from here on
+        n, phis = config.n, {case: phi_for_case(case) for case in config.cases}
+        disparity = list(dict.fromkeys((m, n, K, phis[case]) for case, K, m in grid))
+        baseline = list(dict.fromkeys((m, n, K) for _, K, m in grid))
+        new, old = bounds.maximize_bounds(disparity, baseline)
+        new_value = {q: b.value for q, b in zip(disparity, new)}
+        old_value = {q: b.value for q, b in zip(baseline, old)}
+        points = []
+        successes = [0] * len(grid)
         for task, counts in zip(tasks, tallies):
             row, first, count = task[-3:]
             for g, c in enumerate(counts, row * len(ms)):
@@ -448,18 +546,17 @@ def run_experiment(
                 case, K, m = grid[g]
                 point = PointResult(
                     m=m,
-                    n=config.n,
+                    n=n,
                     K=K,
                     case=case,
                     trials=trials,
                     successes=successes[g],
-                    disparity_bound_value=bound_values[g][0],
-                    baseline_bound_value=bound_values[g][1],
+                    disparity_bound_value=new_value[m, n, K, phis[case]],
+                    baseline_bound_value=old_value[m, n, K],
                 )
                 points.append(point)
                 if progress is not None:
                     progress(len(points), len(grid), point)
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        tallies.close()
     return ExperimentResult(config=config, points=tuple(points))

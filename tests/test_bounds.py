@@ -6,7 +6,9 @@ implementation), so agreement here checks the float64 log-domain path
 end to end.
 """
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -396,3 +398,90 @@ class TestDerivation:
         phi = montecarlo.phi_for_case(case).values(K)[::-1]
         ratio = factor / (sigma_min[:, None] / np.sqrt(phi))
         assert ratio.min() >= 1.0, ratio.min()
+
+
+class TestBatchedSearch:
+    """``maximize_bounds`` searches many points at once; each point's
+    result is the one it gets alone."""
+
+    def test_point_in_a_mixed_batch_is_bit_identical(self):
+        # K from 1 to 60 pads the shorter points' phi rows, and three
+        # infeasible points sit among the feasible ones
+        rng = np.random.default_rng(20)
+        budgets = (CS, D11, D12, PhiFunction.strongly_decaying(2.0), GAUSS)
+        disparity, baseline = [], []
+        for _ in range(120):
+            K = int(rng.integers(1, 61))
+            m = int(rng.integers(K + 1, 2500))
+            n = int(rng.integers(K + 1, 4096))
+            disparity.append((m, n, K, budgets[int(rng.integers(len(budgets)))]))
+            baseline.append((m, n, K))
+        for at, (m, K) in ((7, (15, 15)), (50, (40, 30)), (90, (20, 25))):
+            disparity.insert(at, (m, 1024, K, CS))
+            baseline.insert(at, (m, 1024, K))
+        new, old = bounds_mod.maximize_bounds(disparity, baseline)
+        assert sum(not r.feasible for r in new) == 3
+        for args, got in zip(disparity, new):
+            want = disparity_bound(*args)
+            assert got == want
+            assert np.signbit(got.log_value) == np.signbit(want.log_value)
+        for args, got in zip(baseline, old):
+            assert got == baseline_bound(*args)
+
+    def test_empty_and_one_sided_batches(self):
+        assert bounds_mod.maximize_bounds() == ([], [])
+        new, old = bounds_mod.maximize_bounds(disparity=[(500, 1024, 15, CS)])
+        assert old == [] and new == [disparity_bound(500, 1024, 15, CS)]
+        new, old = bounds_mod.maximize_bounds(baseline=[(10, 1024, 15)])
+        assert new == [] and old == [baseline_bound(10, 1024, 15)]
+
+    def test_problem_validation(self):
+        with pytest.raises(ValueError):
+            bounds_mod.maximize_bounds([(500, 1024, 15, CS), (10, 10, 10, CS)])
+        with pytest.raises(ValueError):
+            bounds_mod.maximize_bounds(baseline=[(0, 1024, 15)])
+
+    def test_log_value_is_the_objective_at_the_maximizer(self):
+        for m, K, phi in ((500, 15, CS), (300, 30, GAUSS), (150, 15, D12)):
+            new = disparity_bound(m, 1024, K, phi)
+            assert new.log_value == log_disparity_bound_at(m, 1024, K, phi, new.epsilon_star)
+            old = baseline_bound(m, 1024, K)
+            assert old.log_value == log_baseline_bound_at(m, 1024, K, old.epsilon_star)
+
+    @pytest.mark.parametrize("name", ["sim-large-m", "sim-transition", "bound-sweep"])
+    def test_matches_the_benchmark_reference_tables(self, name):
+        # the tables were written by the nested 1025-point grid scan
+        # that this search replaced
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+        with open(path / f"{name}.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        if name == "bound-sweep":
+            want = [float(r["value"]) for r in rows]
+            queries = [(int(r["m"]), int(r["n"]), int(r["K"])) for r in rows]
+            new, old = bounds_mod.maximize_bounds(
+                [(m, n, K, GAUSS) for m, n, K in queries], queries
+            )
+            got = [
+                (new if r["bound_name"] == "new" else old)[i].value
+                for i, r in enumerate(rows)
+            ]
+        else:
+            cases = {
+                c.label(): c
+                for c in (
+                    SignalCase.flat(), SignalCase.decaying(1.1),
+                    SignalCase.decaying(1.2), SignalCase.gaussian(1.0),
+                )
+            }
+            queries = [(int(r["m"]), int(r["n"]), int(r["K"])) for r in rows]
+            new, old = bounds_mod.maximize_bounds(
+                [
+                    (*q, montecarlo.phi_for_case(cases[r["case"]]))
+                    for q, r in zip(queries, rows)
+                ],
+                queries,
+            )
+            want = [float(r[c]) for r in rows for c in ("new_bound", "existing_bound")]
+            got = [v for pair in zip(new, old) for v in (pair[0].value, pair[1].value)]
+        assert len(got) == len(want) > 0
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12

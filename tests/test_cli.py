@@ -1,6 +1,5 @@
 """CLI behavior: flags, config files, exit codes, artifacts."""
 
-import concurrent.futures
 import csv
 import json
 import os
@@ -45,20 +44,6 @@ def _run_python(code):
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
     return done.stdout
-
-
-def _recording_pool(monkeypatch):
-    """Record the ``max_workers`` of each process pool that simulate
-    starts; the pools still run their tasks in worker processes."""
-    made = []
-
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            made.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return made
 
 
 def _sim_args(out_dir, *extra):
@@ -148,16 +133,15 @@ class TestSimulateCommand:
         assert _read(a / "results.csv") == _read(b / "results.csv")
         assert _read(a / "results.json") == _read(b / "results.json")
 
-    def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch):
-        # two (case, K) rows make two tasks, so --threads 3 runs a pool
-        # of two worker processes
-        made = _recording_pool(monkeypatch)
+    def test_thread_count_does_not_change_output(self, tmp_path, forks):
+        # two (case, K) rows make two tasks, so --threads 3 forks two
+        # worker processes
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(_sim_args(a, "--case", "gauss")) == EXIT_OK
         args = _sim_args(b, "--case", "gauss")
         args[args.index("--threads") + 1] = "3"
         assert main(args) == EXIT_OK
-        assert made == [2]
+        assert forks == [2]
         assert _read(a / "results.csv") == _read(b / "results.csv")
 
     def test_svg_per_k_case(self, tmp_path):
@@ -169,30 +153,29 @@ class TestSimulateCommand:
             assert _polyline_count(tmp_path / name) == 3
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_trial_failure_exits_1(self, tmp_path, monkeypatch, capsys, threads):
+    def test_trial_failure_exits_1(self, tmp_path, monkeypatch, capsys, forks, threads):
         # a pursuit that hits a dependent column is a failed trial
         def degenerate(*args):
             raise DegenerateColumnError(1, 0)
 
         monkeypatch.setattr(montecarlo, "recovers_stack", degenerate)
-        made = _recording_pool(monkeypatch)
-        # two (case, K) rows make two tasks, so --threads 2 crosses a pool
+        # two (case, K) rows make two tasks, so --threads 2 forks two
+        # workers, and the error crosses a pipe
         args = _sim_args(tmp_path, "--case", "gauss")
         args[args.index("--threads") + 1] = threads
         assert main(args) == EXIT_RUNTIME
-        assert made == ([] if threads == "1" else [2])
+        assert forks == ([] if threads == "1" else [2])
         assert "trial failure: trial 0 failed at m=24, K=3" in capsys.readouterr().err
 
-    def test_threads_default_to_usable_cpus(self, tmp_path, monkeypatch):
-        # a process pinned to one CPU of a many-core host forks no pool
+    def test_threads_default_to_usable_cpus(self, tmp_path, monkeypatch, forks):
+        # a process pinned to one CPU of a many-core host forks no worker
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        made = _recording_pool(monkeypatch)
         args = _sim_args(tmp_path, "--case", "gauss")
         at = args.index("--threads")
         del args[at:at + 2]
         assert main(args) == EXIT_OK
-        assert made == []
+        assert forks == []
 
     def test_needs_m(self):
         assert main(["simulate", "--K", "3", "--trials", "2"]) == EXIT_USAGE
@@ -397,7 +380,7 @@ class TestTopLevel:
     def test_import_loads_no_scipy_or_unused_stdlib(self):
         # numpy is the only runtime dependency; scipy is a test extra.  Nor
         # does the CLI pull in the stdlib's XML, network or statistics
-        # stacks, or the process-pool stack, which only a forking run loads.
+        # stacks, or the process-pool stack: workers are plain forks.
         forbidden = (
             "scipy", "xml.sax", "urllib.request", "http", "ssl", "email",
             "statistics", "concurrent", "logging", "multiprocessing",

@@ -1,8 +1,11 @@
 """Experiment engine: config validation, keyed trials, aggregation."""
 
-import concurrent.futures
+import contextlib
 import math
+import os
+import signal
 import statistics
+import time
 import tracemalloc
 
 import mpmath as mp
@@ -497,27 +500,26 @@ class TestRunExperiment:
             )
 
     def test_each_bound_evaluated_once(self, monkeypatch):
-        # both Gaussian cases share the gauss budget; no bound uses the case
+        # both Gaussian cases share the gauss budget; no bound uses the
+        # case, and all of a run's bounds go to one batched search
         calls = []
-        for name in ("baseline_bound", "disparity_bound"):
-            real = getattr(bounds_mod, name)
+        real = bounds_mod.maximize_bounds
 
-            def counted(*args, _real=real, _name=name):
-                calls.append((_name, *args))
-                return _real(*args)
+        def recorded(disparity, baseline):
+            calls.append((list(disparity), list(baseline)))
+            return real(disparity, baseline)
 
-            monkeypatch.setattr(bounds_mod, name, counted)
-        config = _small_config(
-            trials=1,
-            cases=(
-                SignalCase.flat(), SignalCase.gaussian(1.0), SignalCase.gaussian(2.0)
-            ),
-        )
+        monkeypatch.setattr(bounds_mod, "maximize_bounds", recorded)
+        cases = (SignalCase.flat(), SignalCase.gaussian(1.0), SignalCase.gaussian(2.0))
+        config = _small_config(trials=1, cases=cases)
         run_experiment(config)
-        assert len(calls) == len(set(calls))
-        assert sorted(c[:2] for c in calls) == [
-            ("baseline_bound", 24), ("baseline_bound", 40),
-        ] + [("disparity_bound", 24)] * 2 + [("disparity_bound", 40)] * 2
+        assert len(calls) == 1
+        disparity, baseline = calls[0]
+        cs, gauss = phi_for_case(cases[0]), phi_for_case(cases[1])
+        assert sorted(disparity, key=repr) == sorted(
+            [(m, 64, 3, phi) for m in (24, 40) for phi in (cs, gauss)], key=repr
+        )
+        assert sorted(baseline) == [(24, 64, 3), (40, 64, 3)]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_progress_callback(self, workers):
@@ -540,66 +542,93 @@ class TestRunExperiment:
         "trials,workers,pool_sizes",
         [(1, 4, []), (1, 3, []), (40, 3, [3]), (40, 8, [4])],
     )
-    def test_pool_no_larger_than_task_list(self, monkeypatch, trials, workers, pool_sizes):
+    def test_pool_no_larger_than_task_list(self, forks, trials, workers, pool_sizes):
         # one point, whose K=160 stacks hold 10 trials: 1 task at
         # trials=1 and 4 tasks at trials=40
-        made = _inline_pool(monkeypatch)
         config = _small_config(
             n=256, m_values=(170,), k_values=(160,), cases=(SignalCase.flat(),),
             trials=trials,
         )
         run_experiment(config, workers=workers)
-        assert made == pool_sizes
+        assert forks == pool_sizes
 
-    def test_tasks_and_tallies_independent_of_workers(self, monkeypatch):
-        # K=3 stacks hold 256 trials and K=100 stacks 26, so a row of
-        # two 20-trial points is one task of 20 trial indices at K=3 and
-        # tasks of 13 and 7 at K=100, each taken at both m values
-        _inline_pool(monkeypatch)
+    def test_tasks_and_tallies_independent_of_workers(self, monkeypatch, tmp_path):
+        # K=3 stacks hold 256 trials and K=60 stacks 72, so a row of
+        # two 40-trial points is one task of 40 trial indices at K=3 and
+        # tasks of 36 and 4 at K=60, each taken at both m values.  The
+        # workers append each task they run to a file.
         real = montecarlo._count_successes
         runs = {}
         for workers in (1, 2, 3):
-            tasks = runs.setdefault(workers, ([], []))[0]
+            log = tmp_path / f"tasks{workers}"
 
-            def recorded(*task, _tasks=tasks):
-                _tasks.append(task)
+            def recorded(*task, _log=log):
+                with open(_log, "a", encoding="utf-8") as handle:
+                    handle.write(repr(task[5:]) + "\n")
                 return real(*task)
 
             monkeypatch.setattr(montecarlo, "_count_successes", recorded)
-            config = _small_config(
-                n=256, m_values=(110, 130), k_values=(3, 100), trials=20
-            )
-            runs[workers][1].extend(
+            config = _small_config(n=128, m_values=(70, 90), k_values=(3, 60), trials=40)
+            tallies = [
                 p.successes for p in run_experiment(config, workers=workers).points
-            )
-        assert runs[1] == runs[2] == runs[3]
-        assert [t[5:] for t in runs[1][0]] == [
-            ((110, 130), 0, 0, 20),
-            ((110, 130), 1, 0, 13),
-            ((110, 130), 1, 13, 7),
-            ((110, 130), 2, 0, 20),
-            ((110, 130), 3, 0, 13),
-            ((110, 130), 3, 13, 7),
+            ]
+            runs[workers] = (log.read_text(encoding="utf-8").splitlines(), tallies)
+        tasks = [
+            ((70, 90), 0, 0, 40),
+            ((70, 90), 1, 0, 36),
+            ((70, 90), 1, 36, 4),
+            ((70, 90), 2, 0, 40),
+            ((70, 90), 3, 0, 36),
+            ((70, 90), 3, 36, 4),
         ]
+        assert runs[1][0] == [repr(t) for t in tasks]
+        for workers in (2, 3):
+            assert sorted(runs[workers][0]) == sorted(runs[1][0])
+            assert runs[workers][1] == runs[1][1]
+
+    def test_dealing_balances_the_transition_grid(self):
+        # the benchmark's 72-point transition grid at 8 trials: one task
+        # per (case, K) row, of cost 8 * 15^2 or 8 * 30^2.  Dealt in task
+        # order by stride, every K=30 row would go to one worker.
+        config = _small_config(
+            n=1024, m_values=tuple(range(100, 301, 25)), k_values=(15, 30),
+            cases=ALL_CASES, trials=8,
+        )
+        tasks = montecarlo._tasks(config)
+        cost = [t[-1] * t[1] ** 2 for t in tasks]
+        owners = montecarlo._deal(tasks, 2)
+        loads = [sum(c for c, o in zip(cost, owners) if o == i) for i in (0, 1)]
+        assert abs(loads[0] - loads[1]) <= max(cost)
+        assert sorted(owners[1::2]) == [0, 0, 1, 1]
+
+    def test_dealing_keeps_task_order_within_a_worker(self):
+        tasks = [(0, K, None, 0, 0, (), 0, 0, c) for K, c in ((3, 1), (9, 1), (3, 2), (9, 1))]
+        assert montecarlo._deal(tasks, 1) == [0, 0, 0, 0]
+        # costs 9, 81, 18, 81: the 81s first, then 18 and 9 to the lighter
+        assert montecarlo._deal(tasks, 2) == [1, 0, 0, 1]
+        assert montecarlo._deal(tasks, 5) == [3, 0, 2, 1]
 
 
-def _inline_pool(monkeypatch):
-    """Replace the process pool with one that maps in this process and
-    records each pool's ``max_workers``; no process starts."""
-    made = []
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            made.append(max_workers)
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise ``TimeoutError`` in this process if the block is still
+    running after ``seconds``: a run that hangs fails instead."""
 
-        def shutdown(self, cancel_futures=False):
-            pass
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    return made
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def degenerate_pursuit(monkeypatch, row=0):
@@ -645,7 +674,8 @@ class TestTrialError:
 
     def test_crosses_the_process_pool(self, monkeypatch):
         # workers inherit the patched module; the parent must get the
-        # TrialError of the first stack, with its location intact
+        # TrialError of the first stack, with its location intact, and
+        # leave no child behind
         degenerate_pursuit(monkeypatch)
         with pytest.raises(TrialError) as info:
             run_experiment(_small_config(), workers=2)
@@ -653,3 +683,43 @@ class TestTrialError:
         assert (err.m, err.K, err.case, err.trial_index) == (24, 3, SignalCase.flat(), 0)
         assert isinstance(err.cause, DegenerateColumnError)
         assert (err.cause.iteration, err.cause.index) == (1, 0)
+        _assert_no_child_left()
+
+
+class TestWorkerFailure:
+    def test_worker_that_dies_is_named_and_reaped(self, monkeypatch):
+        # the worker of the second row's task ends without a reply; the
+        # parent must raise at once rather than wait for it, and reap
+        # every child
+        real = montecarlo._count_successes
+
+        def dies(*task):
+            if task[6] == 1:
+                os._exit(3)
+            return real(*task)
+
+        monkeypatch.setattr(montecarlo, "_count_successes", dies)
+        config = _small_config(cases=ALL_CASES)
+        owner = montecarlo._deal(montecarlo._tasks(config), 2)[1]
+        with _deadline(30), pytest.raises(RuntimeError, match=f"worker {owner} .*task 1"):
+            run_experiment(config, workers=2)
+        _assert_no_child_left()
+
+    def test_error_in_progress_kills_the_workers(self, monkeypatch):
+        # the parent's own failure, here in the progress call of the
+        # first row, ends the run while the worker of the second row is
+        # still busy; that worker is killed and reaped
+        real = montecarlo._count_successes
+
+        def slow(*task):
+            if task[6] == 1:
+                time.sleep(60.0)
+            return real(*task)
+
+        def stop(done, total, point):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(montecarlo, "_count_successes", slow)
+        with _deadline(30), pytest.raises(KeyboardInterrupt):
+            run_experiment(_small_config(), workers=2, progress=stop)
+        _assert_no_child_left()
