@@ -14,12 +14,13 @@ Subcommands:
 - ``report``: merge previously written experiment CSVs into combined
   SVG figures.
 
-Every long flag can also come from an INI config file: one section per
-subcommand, keys spelled like the flag with ``-`` or ``_`` in any case,
-repeatable flags as comma lists, and each value checked like the flag's;
-explicit flags win.
-The master seed falls back to the ``OMP_LAB_SEED`` environment variable,
-then to 0.  Exit codes: 0 success, 1 runtime failure, 2 usage error,
+``_COMMANDS`` declares every option once: its flag, which is also its
+config key, its type function and its default.  The parser, the INI
+config file (one section per subcommand, keys spelled like the flag with
+``-`` or ``_`` in any case, repeatable flags as comma lists) and the
+defaults all come from it.  Flags win over the file, the file over the
+default; the master seed's default is the ``OMP_LAB_SEED`` environment
+variable, else 0.  Exit codes: 0 success, 1 runtime failure, 2 usage error,
 3 threshold not met.
 """
 
@@ -33,7 +34,7 @@ import gc
 import math
 import os
 import sys
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import bounds as bounds_mod
 from . import output, svgplot
@@ -141,13 +142,101 @@ def _parse_probability(text: str) -> float:
     return value
 
 
-def _parse_case(text: str) -> SignalCase:
-    token = text.strip()
-    if token not in _CASE_TOKENS:
-        raise argparse.ArgumentTypeError(
-            f"unknown case {token!r}; choose from {', '.join(sorted(_CASE_TOKENS))}"
-        )
-    return _CASE_TOKENS[token]
+def _parse_choice(what: str, tokens: Dict[str, Any]) -> Callable[[str], Any]:
+    """A type function that maps each of ``tokens`` to its value."""
+
+    def parse(text: str) -> Any:
+        token = text.strip()
+        if token not in tokens:
+            raise argparse.ArgumentTypeError(
+                f"unknown {what} {token!r}; choose from {', '.join(sorted(tokens))}"
+            )
+        return tokens[token]
+
+    return parse
+
+
+def _default_seed() -> int:
+    try:
+        return _parse_seed(os.environ.get(SEED_ENV_VAR, "0"))
+    except argparse.ArgumentTypeError as err:
+        raise UsageError(f"bad {SEED_ENV_VAR}: {err}")
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, not all of the host's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class Option(NamedTuple):
+    """One long flag of a subcommand; ``flag`` is also its config key.
+
+    A callable ``default`` is called when the default is used.  A
+    repeatable option collects a list, from repeated flags or from one
+    comma list in a config file.
+    """
+
+    flag: str
+    type: Callable[[str], Any]
+    default: Any = None
+    repeat: bool = False
+    dest: Optional[str] = None
+    metavar: Optional[str] = None
+
+    @property
+    def attr(self) -> str:
+        """The option's namespace attribute."""
+        return self.dest or self.flag.replace("-", "_")
+
+
+_OUT_DIR = Option("out-dir", str, ".")
+_M = Option("m", _parse_positive_int, repeat=True)
+_M_SWEEP = Option("m-sweep", _parse_sweep, metavar="LO:STEP:HI")
+_N = Option("n", _parse_positive_int, 1024)
+_SEED = Option("seed", _parse_seed, _default_seed)
+_PHI = Option("phi", _parse_choice("phi", {v: v for v in ("cs", "decay", "gauss")}),
+              metavar="{cs,decay,gauss}")
+_ALPHA = Option("alpha", _parse_float)
+_T_MAX = Option("t-max", _parse_positive_int, 50)
+
+# Every option of every subcommand but --config, which names the file.
+_COMMANDS: Dict[str, Tuple[str, Tuple[Option, ...]]] = {
+    "bound": ("evaluate the probability bounds", (
+        _OUT_DIR, _M, _M_SWEEP, _N,
+        Option("K", _parse_positive_int),
+        _PHI._replace(default="cs"),
+        _ALPHA,
+        Option("formats", _parse_formats, ("csv",)),
+    )),
+    "simulate": ("run the Monte Carlo experiment", (
+        _OUT_DIR, _M, _M_SWEEP, _N,
+        Option("K", _parse_positive_int, (15, 30), repeat=True),
+        Option("case", _parse_choice("case", _CASE_TOKENS), tuple(_CASE_TOKENS.values()),
+               repeat=True, dest="cases", metavar="{" + "|".join(sorted(_CASE_TOKENS)) + "}"),
+        Option("trials", _parse_positive_int, 1000),
+        _SEED,
+        Option("threads", _parse_positive_int, _usable_cpus),
+        Option("formats", _parse_formats, ("csv", "json")),
+    )),
+    "validate-phi": ("empirical disparity check", (
+        _OUT_DIR, _T_MAX,
+        Option("trials", _parse_positive_int, 50000),
+        _SEED,
+        _PHI._replace(default="gauss"),
+        _ALPHA,
+        Option("threshold", _parse_probability, 0.995),
+        Option("formats", _parse_formats, ("csv",)),
+    )),
+    "plot-phi": ("tabulate/plot budget curves", (
+        _OUT_DIR,
+        Option("alpha", _parse_float, (1.0, 1.5, 2.0, 2.5), repeat=True, dest="alphas"),
+        _T_MAX,
+        Option("formats", _parse_formats, ("csv", "svg")),
+    )),
+    "report": ("merge experiment CSVs into SVGs", (_OUT_DIR,)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,148 +247,64 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"omp-lab {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for name, (help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="INI config file; flags override it")
-        p.add_argument("--out-dir", help="output directory (default: .)")
-
-    p_bound = sub.add_parser("bound", help="evaluate the probability bounds")
-    common(p_bound)
-    p_bound.add_argument("--m", action="append", type=_parse_positive_int)
-    p_bound.add_argument("--m-sweep", metavar="LO:STEP:HI")
-    p_bound.add_argument("--n", type=_parse_positive_int)
-    p_bound.add_argument("--K", type=_parse_positive_int)
-    p_bound.add_argument("--phi", choices=("cs", "decay", "gauss"))
-    p_bound.add_argument("--alpha", type=_parse_float)
-    p_bound.add_argument("--formats", type=_parse_formats)
-
-    p_sim = sub.add_parser("simulate", help="run the Monte Carlo experiment")
-    common(p_sim)
-    p_sim.add_argument("--m", action="append", type=_parse_positive_int)
-    p_sim.add_argument("--m-sweep", metavar="LO:STEP:HI")
-    p_sim.add_argument("--n", type=_parse_positive_int)
-    p_sim.add_argument("--K", action="append", type=_parse_positive_int)
-    p_sim.add_argument(
-        "--case",
-        action="append",
-        type=_parse_case,
-        dest="cases",
-        metavar="{" + "|".join(sorted(_CASE_TOKENS)) + "}",
-    )
-    p_sim.add_argument("--trials", type=_parse_positive_int)
-    p_sim.add_argument("--seed", type=_parse_seed)
-    p_sim.add_argument("--threads", type=_parse_positive_int)
-    p_sim.add_argument("--formats", type=_parse_formats)
-
-    p_phi = sub.add_parser("validate-phi", help="empirical disparity check")
-    common(p_phi)
-    p_phi.add_argument("--t-max", type=_parse_positive_int)
-    p_phi.add_argument("--trials", type=_parse_positive_int)
-    p_phi.add_argument("--seed", type=_parse_seed)
-    p_phi.add_argument("--phi", choices=("cs", "decay", "gauss"))
-    p_phi.add_argument("--alpha", type=_parse_float)
-    p_phi.add_argument("--threshold", type=_parse_probability)
-    p_phi.add_argument("--threads", type=_parse_positive_int)
-    p_phi.add_argument("--formats", type=_parse_formats)
-
-    p_plot = sub.add_parser("plot-phi", help="tabulate/plot budget curves")
-    common(p_plot)
-    p_plot.add_argument("--alpha", action="append", type=_parse_float, dest="alphas")
-    p_plot.add_argument("--t-max", type=_parse_positive_int)
-    p_plot.add_argument("--formats", type=_parse_formats)
-
-    p_rep = sub.add_parser("report", help="merge experiment CSVs into SVGs")
-    common(p_rep)
-    p_rep.add_argument("inputs", nargs="*", metavar="CSV")
-
+        for opt in options:
+            p.add_argument(
+                f"--{opt.flag}",
+                action="append" if opt.repeat else "store",
+                type=opt.type,
+                dest=opt.attr,
+                metavar=opt.metavar,
+            )
+        if name == "report":
+            p.add_argument("inputs", nargs="*", metavar="CSV")
     return parser
 
 
-def _config_actions(
-    parser: argparse.ArgumentParser, subcommand: str
-) -> Dict[str, argparse.Action]:
-    """The subcommand's options that a config file may set, keyed by the
-    normalized long flag: all of them but ``--config`` and ``--help``."""
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {
-        _config_key(opt[2:]): action
-        for action in sub.choices[subcommand]._actions
-        for opt in action.option_strings
-        if opt.startswith("--") and opt not in ("--config", "--help")
-    }
-
-
-def _config_key(name: str) -> str:
-    return name.replace("_", "-").lower()
-
-
-def _config_value(action: argparse.Action, key: str, text: str) -> object:
-    """Convert and check a config value as the flag would; a repeatable
-    flag takes a comma list."""
-    repeatable = isinstance(action, argparse._AppendAction)
-    tokens = [t.strip() for t in text.split(",") if t.strip()] if repeatable else [text]
-    values = []
-    for token in tokens:
+def _resolve_options(ns: argparse.Namespace) -> None:
+    """Set every option the flags left unset: from the subcommand's
+    section of the ``--config`` file, converted and checked by the
+    option's type (a repeatable option's value is a comma list), else
+    from the option's default."""
+    options = {opt.flag.lower(): opt for opt in _COMMANDS[ns.subcommand][1]}
+    if ns.config is not None:
+        if not os.path.isfile(ns.config):
+            raise UsageError(f"config file not found: {ns.config}")
+        ini = configparser.ConfigParser()
+        ini.optionxform = str  # keep key case for error messages
         try:
-            value = action.type(token) if action.type else token
-        except (argparse.ArgumentTypeError, TypeError, ValueError) as err:
-            raise UsageError(f"bad config value for {key!r}: {err}")
-        if action.choices is not None and value not in action.choices:
-            raise UsageError(
-                f"bad config value for {key!r}: invalid choice {value!r} "
-                f"(choose from {', '.join(map(str, action.choices))})"
-            )
-        values.append(value)
-    return values if repeatable else values[0]
-
-
-def _apply_config(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    if ns.config is None:
-        return
-    if not os.path.isfile(ns.config):
-        raise UsageError(f"config file not found: {ns.config}")
-    ini = configparser.ConfigParser()
-    ini.optionxform = str  # keep key case for error messages
-    try:
-        ini.read(ns.config)
-    except configparser.Error as err:
-        raise UsageError(f"cannot parse config file: {err}")
-    if ns.subcommand not in ini:
-        return
-    actions = _config_actions(parser, ns.subcommand)
-    for key, text in ini[ns.subcommand].items():
-        action = actions.get(_config_key(key))
-        if action is None:
-            raise UsageError(f"unknown config key {key!r} in section [{ns.subcommand}]")
-        if getattr(ns, action.dest) is None:
-            setattr(ns, action.dest, _config_value(action, key, text))
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return _parse_seed(raw)
-    except argparse.ArgumentTypeError as err:
-        raise UsageError(f"bad {SEED_ENV_VAR}: {err}")
+            ini.read(ns.config)
+        except configparser.Error as err:
+            raise UsageError(f"cannot parse config file: {err}")
+        for key, text in ini[ns.subcommand].items() if ns.subcommand in ini else ():
+            opt = options.get(key.replace("_", "-").lower())
+            if opt is None:
+                raise UsageError(f"unknown config key {key!r} in section [{ns.subcommand}]")
+            if getattr(ns, opt.attr) is not None:
+                continue
+            tokens = [t.strip() for t in text.split(",") if t.strip()] if opt.repeat else [text]
+            try:
+                values = [opt.type(token) for token in tokens]
+            except (argparse.ArgumentTypeError, TypeError, ValueError) as err:
+                raise UsageError(f"bad config value for {key!r}: {err}")
+            setattr(ns, opt.attr, values if opt.repeat else values[0])
+    for opt in options.values():
+        if getattr(ns, opt.attr) is None:
+            setattr(ns, opt.attr, opt.default() if callable(opt.default) else opt.default)
 
 
 def _resolve_m_values(ns: argparse.Namespace) -> List[int]:
     if ns.m is not None and ns.m_sweep is not None:
         raise UsageError("give either --m or --m-sweep, not both")
-    if ns.m_sweep is not None:
-        try:
-            return _parse_sweep(ns.m_sweep)
-        except argparse.ArgumentTypeError as err:
-            raise UsageError(str(err))
-    if ns.m is not None:
-        return list(ns.m)
-    raise UsageError("no m values given (use --m or --m-sweep)")
+    m_values = ns.m if ns.m_sweep is None else ns.m_sweep
+    if m_values is None:
+        raise UsageError("no m values given (use --m or --m-sweep)")
+    return m_values
 
 
-def _resolve_phi(variant: Optional[str], alpha: Optional[float]) -> PhiFunction:
-    variant = variant or "cs"
+def _resolve_phi(variant: str, alpha: Optional[float]) -> PhiFunction:
     if variant == "decay":
         if alpha is None:
             raise UsageError("--phi decay requires --alpha")
@@ -314,20 +319,17 @@ def _resolve_phi(variant: Optional[str], alpha: Optional[float]) -> PhiFunction:
 
 
 def _out_path(ns: argparse.Namespace, name: str) -> str:
-    out_dir = ns.out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, name)
+    if ns.out_dir:  # "" names the current directory
+        os.makedirs(ns.out_dir, exist_ok=True)
+    return os.path.join(ns.out_dir, name)
 
 
-def _write_artifacts(
-    ns: argparse.Namespace, default: Tuple[str, ...], artifacts: Iterable[tuple]
-) -> None:
+def _write_artifacts(ns: argparse.Namespace, *artifacts: tuple) -> None:
     """Write each ``(format, file name, render, *args)`` artifact whose
-    format ``--formats`` asks for (else ``default``); the text is
-    ``render(*args)``, so formats not asked for are never rendered."""
-    formats = ns.formats if ns.formats is not None else default
+    format ``--formats`` asks for; the text is ``render(*args)``, so
+    formats not asked for are never rendered."""
     for fmt, name, render, *args in artifacts:
-        if fmt in formats:
+        if fmt in ns.formats:
             output.atomic_write_text(_out_path(ns, name), render(*args))
 
 
@@ -349,10 +351,9 @@ def _recovery_svg(title: str, rows: Sequence[Tuple[int, float, float, float]]) -
 
 def _cmd_bound(ns: argparse.Namespace) -> int:
     m_values = _resolve_m_values(ns)
-    n = ns.n if ns.n is not None else 1024
-    if ns.K is None:
+    n, K = ns.n, ns.K
+    if K is None:
         raise UsageError("--K is required")
-    K = ns.K
     if not K < n:
         raise UsageError(f"need K < n, got K={K}, n={n}")
     phi = _resolve_phi(ns.phi, ns.alpha)
@@ -387,39 +388,23 @@ def _cmd_bound(ns: argparse.Namespace) -> int:
 
     _write_artifacts(
         ns,
-        ("csv",),
-        [
-            ("csv", "bounds.csv", output.bound_rows_csv, rows),
-            ("json", "bounds.json", output.bound_rows_json, rows),
-            ("svg", "bounds.svg", figure),
-        ],
+        ("csv", "bounds.csv", output.bound_rows_csv, rows),
+        ("json", "bounds.json", output.bound_rows_json, rows),
+        ("svg", "bounds.svg", figure),
     )
     return EXIT_OK
 
 
 def _cmd_simulate(ns: argparse.Namespace) -> int:
     m_values = sorted(set(_resolve_m_values(ns)))
-    n = ns.n if ns.n is not None else 1024
-    k_values = ns.K if ns.K is not None else [15, 30]
-    cases = ns.cases if ns.cases is not None else list(_CASE_TOKENS.values())
-    trials = ns.trials if ns.trials is not None else 1000
-    seed = ns.seed if ns.seed is not None else _default_seed()
-    if ns.threads is not None:
-        threads = ns.threads
-    elif hasattr(os, "sched_getaffinity"):
-        # the CPUs this process may run on, not all of the host's
-        threads = len(os.sched_getaffinity(0))
-    else:
-        threads = os.cpu_count() or 1
-
     try:
         config = ExperimentConfig(
-            n=n,
+            n=ns.n,
             m_values=tuple(m_values),
-            k_values=tuple(sorted(set(k_values))),
-            cases=tuple(dict.fromkeys(cases)),
-            trials=trials,
-            master_seed=seed,
+            k_values=tuple(sorted(set(ns.K))),
+            cases=tuple(dict.fromkeys(ns.cases)),
+            trials=ns.trials,
+            master_seed=ns.seed,
         )
     except ValueError as err:
         raise UsageError(str(err))
@@ -432,14 +417,14 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
             flush=True,
         )
 
-    result = run_experiment(config, workers=threads, progress=progress)
+    result = run_experiment(config, workers=ns.threads, progress=progress)
 
     figures = [
         (
             "svg",
             f"curves_K{K}_{case.label()}.svg",
             _recovery_svg,
-            f"Exact recovery, K={K}, case={case.label()}, n={n}",
+            f"Exact recovery, K={K}, case={case.label()}, n={ns.n}",
             [
                 (p.m, p.probability, p.disparity_bound_value, p.baseline_bound_value)
                 for p in result.points
@@ -451,26 +436,16 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     ]
     _write_artifacts(
         ns,
-        ("csv", "json"),
-        [
-            ("csv", "results.csv", output.experiment_csv, result),
-            ("json", "results.json", output.experiment_json, result),
-            *figures,
-        ],
+        ("csv", "results.csv", output.experiment_csv, result),
+        ("json", "results.json", output.experiment_json, result),
+        *figures,
     )
     return EXIT_OK
 
 
 def _cmd_validate_phi(ns: argparse.Namespace) -> int:
-    t_max = ns.t_max if ns.t_max is not None else 50
-    trials = ns.trials if ns.trials is not None else 50000
-    seed = ns.seed if ns.seed is not None else _default_seed()
-    threshold = ns.threshold if ns.threshold is not None else 0.995
-    phi = _resolve_phi(ns.phi if ns.phi is not None else "gauss", ns.alpha)
-    # --threads is accepted for interface uniformity; the per-size loops
-    # are vectorized and finish in seconds, so no pool is spun up, and
-    # per-size substreams make the counts worker-independent anyway.
-
+    t_max, trials, seed, threshold = ns.t_max, ns.trials, ns.seed, ns.threshold
+    phi = _resolve_phi(ns.phi, ns.alpha)
     report = validate_phi_empirical(phi, t_max, trials, StreamKey(seed))
 
     def figure() -> str:
@@ -489,13 +464,10 @@ def _cmd_validate_phi(ns: argparse.Namespace) -> int:
 
     _write_artifacts(
         ns,
-        ("csv",),
-        [
-            ("csv", "phi_validation.csv", output.phi_validation_csv, report),
-            ("json", "phi_validation.json", output.phi_validation_json,
-             report, t_max, seed, threshold),
-            ("svg", "phi_validation.svg", figure),
-        ],
+        ("csv", "phi_validation.csv", output.phi_validation_csv, report),
+        ("json", "phi_validation.json", output.phi_validation_json,
+         report, t_max, seed, threshold),
+        ("svg", "phi_validation.svg", figure),
     )
 
     print(
@@ -508,12 +480,9 @@ def _cmd_validate_phi(ns: argparse.Namespace) -> int:
 
 
 def _cmd_plot_phi(ns: argparse.Namespace) -> int:
-    alphas = ns.alphas if ns.alphas is not None else [1.0, 1.5, 2.0, 2.5]
-    t_max = ns.t_max if ns.t_max is not None else 50
-
-    t_values = list(range(1, t_max + 1))
+    t_values = list(range(1, ns.t_max + 1))
     curves = []
-    for a in alphas:
+    for a in ns.alphas:
         if a == 1.0:
             # Limit of the geometric budget as the decay ratio tends to
             # 1; coincides with the Cauchy-Schwarz line t.
@@ -535,12 +504,9 @@ def _cmd_plot_phi(ns: argparse.Namespace) -> int:
 
     _write_artifacts(
         ns,
-        ("csv", "svg"),
-        [
-            ("csv", "phi_curves.csv", output.phi_curves_csv, curves),
-            ("json", "phi_curves.json", output.phi_curves_json, curves),
-            ("svg", "phi_curves.svg", figure),
-        ],
+        ("csv", "phi_curves.csv", output.phi_curves_csv, curves),
+        ("json", "phi_curves.json", output.phi_curves_json, curves),
+        ("svg", "phi_curves.svg", figure),
     )
     return EXIT_OK
 
@@ -562,14 +528,14 @@ def _cmd_report(ns: argparse.Namespace) -> int:
                 )
             for row in reader:
                 try:
-                    key = (int(row["K"]), row["case"])
-                    groups.setdefault(key, []).append(
-                        (
-                            int(row["m"]),
-                            float(row["empirical_prob"]),
-                            float(row["new_bound"]),
-                            float(row["existing_bound"]),
-                        )
+                    if None in row.values():
+                        raise ValueError("too few cells")
+                    case = row["case"]
+                    if case in (".", "..") or any(c in case for c in ("/", os.sep, "\0")):
+                        raise ValueError(f"case {case!r} is not a bare file-name label")
+                    groups.setdefault((int(row["K"]), case), []).append(
+                        (int(row["m"]), float(row["empirical_prob"]),
+                         float(row["new_bound"]), float(row["existing_bound"]))
                     )
                 except (KeyError, ValueError) as err:
                     raise UsageError(f"bad row in {path}: {err}")
@@ -601,7 +567,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # surface either as a return value so callers can test us.
         return int(exc.code or 0)
     try:
-        _apply_config(ns, parser)
+        _resolve_options(ns)
         return _DISPATCH[ns.subcommand](ns)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -616,3 +582,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -432,6 +432,45 @@ def _serve(tasks: Sequence[tuple], share: List[int], out: BinaryIO) -> None:
             return
 
 
+# The thread-count setters of OpenBLAS builds: plain, 64-bit-integer,
+# and the scipy-openblas builds that numpy and scipy wheels load.
+_BLAS_SETTERS = (
+    "openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+)
+
+
+def _one_blas_thread() -> None:
+    """Run every OpenBLAS this process has loaded on one thread.
+
+    A forked child keeps its parent's BLAS thread count, so workers
+    that each ran a multi-threaded BLAS would oversubscribe the cores.
+    The libraries are found by path in ``/proc/self/maps``, since their
+    file names carry a build hash; where that file or the library is
+    missing, nothing changes.
+    """
+    import ctypes  # numpy has already imported it
+
+    try:
+        with open("/proc/self/maps", errors="replace") as maps:
+            paths = {line.split(None, 5)[-1].strip() for line in maps if "openblas" in line}
+    except OSError:
+        return
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
+
+
 def _forked_tallies(
     tasks: Sequence[tuple], workers: int
 ) -> Iterator[Optional[Tuple[int, ...]]]:
@@ -439,10 +478,11 @@ def _forked_tallies(
     order.
 
     Forks ``workers`` children, each with a pipe and its share of
-    :func:`_deal`, and reads each task from its owner's pipe.  A task's
-    error is raised here; a worker that ends without its reply raises a
-    ``RuntimeError``.  However the generator ends, every child is killed
-    and reaped first.
+    :func:`_deal`, and reads each task from its owner's pipe.  Each
+    child runs its BLAS on one thread (:func:`_one_blas_thread`).  A
+    task's error is raised here; a worker that ends without its reply
+    raises a ``RuntimeError``.  However the generator ends, every child
+    is killed and reaped first.
     """
     import signal  # only a forking run needs it
 
@@ -463,6 +503,7 @@ def _forked_tallies(
                     os.close(r)
                     for _, reader in children:
                         reader.close()
+                    _one_blas_thread()
                     with open(w, "wb") as out:
                         _serve(tasks, [j for j, o in enumerate(owners) if o == i], out)
                     code = 0

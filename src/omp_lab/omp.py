@@ -22,10 +22,9 @@ is tested against.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -34,13 +33,11 @@ from .signals import SensingMatrix, SparseSignal
 __all__ = [
     "RECOVERY_TOL",
     "DegenerateColumnError",
-    "InstanceTooLargeError",
     "OmpResult",
     "IncrementalLeastSquares",
     "run_omp",
     "check_exact_recovery",
     "recovers_stack",
-    "brute_force_best_support",
 ]
 
 # Stop early once the residual is this small relative to ||y||; the
@@ -53,10 +50,6 @@ _DEGENERATE_TOL = 1e-12
 
 # Largest l2 distance from the truth that still counts as exact recovery.
 RECOVERY_TOL = 1e-10
-
-# Ceiling on the number of candidate supports the exhaustive search will
-# enumerate before refusing.
-_BRUTE_FORCE_LIMIT = 1_000_000
 
 
 class DegenerateColumnError(RuntimeError):
@@ -77,10 +70,6 @@ class DegenerateColumnError(RuntimeError):
 
     def __reduce__(self):
         return type(self), (self.iteration, self.index, self.row)
-
-
-class InstanceTooLargeError(ValueError):
-    """Exhaustive search would enumerate too many supports."""
 
 
 @dataclass(frozen=True)
@@ -374,48 +363,3 @@ def _support_path(
         r_factor, np.matmul(basis, y)
     )[:, :, 0]
     return np.linalg.norm(coefficients - X, axis=1) <= RECOVERY_TOL, residuals, wins
-
-
-def brute_force_best_support(
-    matrix: SensingMatrix,
-    y: np.ndarray,
-    sparsity: int,
-) -> Tuple[Tuple[int, ...], float]:
-    """Exhaustive minimum-residual K-subset; oracle for small instances.
-
-    Enumerates every size-``sparsity`` column subset, fits each by least
-    squares, and returns ``(best_subset, best_residual_norm)`` with the
-    subset as a sorted tuple.  Ties in residual norm go to the
-    lexicographically smallest subset (the enumeration order).
-
-    Raises
-    ------
-    InstanceTooLargeError
-        If ``C(n, sparsity)`` exceeds one million subsets.
-    """
-    A = matrix.entries
-    m, n = A.shape
-    y = np.asarray(y, dtype=float)
-    if y.shape != (m,):
-        raise ValueError(f"y must have length {m}, got shape {y.shape}")
-    if not 1 <= sparsity <= min(m, n):
-        raise ValueError(
-            f"sparsity must be in [1, min(m, n)] = [1, {min(m, n)}], got {sparsity}"
-        )
-    count = math.comb(n, sparsity)
-    if count > _BRUTE_FORCE_LIMIT:
-        raise InstanceTooLargeError(
-            f"{count} candidate supports exceed the limit of {_BRUTE_FORCE_LIMIT}"
-        )
-
-    best_subset: Optional[Tuple[int, ...]] = None
-    best_norm = np.inf
-    for subset in itertools.combinations(range(n), sparsity):
-        cols = A[:, subset]
-        coeffs, _, _, _ = np.linalg.lstsq(cols, y, rcond=None)
-        norm = float(np.linalg.norm(y - cols @ coeffs))
-        if norm < best_norm:
-            best_norm = norm
-            best_subset = subset
-    assert best_subset is not None
-    return best_subset, best_norm

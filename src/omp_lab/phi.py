@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from .signals import Purpose, StreamKey
 
 __all__ = [
     "PhiFunction",
-    "vector_disparity_ratio",
     "PhiValidationReport",
     "validate_phi_empirical",
 ]
@@ -123,24 +122,6 @@ class PhiFunction:
         if self.variant == "decay":
             return f"decay{self.alpha:g}"
         return "gauss"
-
-
-def vector_disparity_ratio(values: Sequence[float]) -> float:
-    """Squared l1/l2 ratio of a plain vector: ``||v||_1^2 / ||v||_2^2``.
-
-    Raises
-    ------
-    ValueError
-        If the vector is empty or identically zero.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("need a nonempty 1-D vector")
-    sq = float(v @ v)
-    if sq == 0.0:
-        raise ValueError("ratio undefined for the zero vector")
-    l1 = float(np.abs(v).sum())
-    return l1 * l1 / sq
 
 
 @dataclass(frozen=True)

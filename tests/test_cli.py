@@ -9,7 +9,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from omp_lab import cli, montecarlo
+from omp_lab import __version__, cli, montecarlo
 from omp_lab.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -268,11 +268,14 @@ class TestValidatePhiCommand:
         assert code == EXIT_THRESHOLD
 
     def test_byte_identical_and_threads_independent(self, tmp_path):
+        # the per-size loops are vectorized and run in process, so
+        # validate-phi takes no --threads
         a, b = tmp_path / "a", tmp_path / "b"
         base = ["validate-phi", "--t-max", "8", "--trials", "200", "--seed", "3"]
         assert main(base + ["--out-dir", str(a)]) == EXIT_OK
-        assert main(base + ["--threads", "4", "--out-dir", str(b)]) == EXIT_OK
+        assert main(base + ["--out-dir", str(b)]) == EXIT_OK
         assert _read(a / "phi_validation.csv") == _read(b / "phi_validation.csv")
+        assert main(base + ["--threads", "2", "--out-dir", str(b)]) == EXIT_USAGE
 
     def test_svg_output(self, tmp_path):
         code = main(
@@ -362,11 +365,41 @@ class TestReportCommand:
         bad.write_text("a,b\n1,2\n")
         assert main(["report", str(bad)]) == EXIT_USAGE
 
+    def test_rejects_short_row(self, tmp_path, capsys):
+        bad = tmp_path / "results.csv"
+        bad.write_text("m,K,case,empirical_prob,new_bound,existing_bound\n24,3\n")
+        assert main(["report", str(bad), "--out-dir", str(tmp_path)]) == EXIT_USAGE
+        assert f"bad row in {bad}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["../../escaped", "a/b", ".", ".."])
+    def test_rejects_case_that_is_not_a_file_name(self, tmp_path, capsys, case):
+        # the case cell becomes part of an output file name
+        bad = tmp_path / "results.csv"
+        bad.write_text(
+            "m,K,case,empirical_prob,new_bound,existing_bound\n"
+            f"24,3,{case},0.5,0.25,0.125\n"
+        )
+        out = tmp_path / "out" / "deeper"
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["report", str(bad), "--out-dir", str(out)]) == EXIT_USAGE
+        assert f"bad row in {bad}" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 class TestTopLevel:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "omp-lab" in capsys.readouterr().out
+
+    def test_runs_as_module(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-m", "omp_lab.cli", "--version"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0
+        assert done.stdout == f"omp-lab {__version__}\n"
 
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == EXIT_USAGE
@@ -475,28 +508,59 @@ class TestConfigKeysFromFlags:
         assert "unknown config key" in capsys.readouterr().err
 
     def test_shipped_configs(self, monkeypatch):
+        # the namespace holds every option resolved: flag, else file, else
+        # the table's default
+        monkeypatch.delenv("OMP_LAB_SEED", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         quick = os.path.join(_CONFIGS, "quick.ini")
         reference = os.path.join(_CONFIGS, "reference.ini")
-        unset = dict(out_dir=None, m=None, threads=None)
+        unset = dict(out_dir=".", m=None, threads=3)
         assert self._namespace(monkeypatch, ["simulate", "--config", quick]) == dict(
-            unset, subcommand="simulate", m_sweep="40:20:120", n=256, K=[5],
+            unset, subcommand="simulate", m_sweep=[40, 60, 80, 100, 120], n=256, K=[5],
             cases=[SignalCase.flat(), SignalCase.decaying(1.2)], trials=50, seed=0,
             formats=("csv", "svg"),
         )
         assert self._namespace(monkeypatch, ["validate-phi", "--config", quick]) == dict(
-            subcommand="validate-phi", out_dir=None, t_max=32, trials=5000, seed=None,
-            phi=None, alpha=None, threshold=None, threads=None, formats=None,
+            subcommand="validate-phi", out_dir=".", t_max=32, trials=5000, seed=0,
+            phi="gauss", alpha=None, threshold=0.995, formats=("csv",),
         )
         assert self._namespace(monkeypatch, ["simulate", "--config", reference]) == dict(
-            unset, subcommand="simulate", m_sweep="100:50:1000", n=1024, K=[15, 30],
+            unset, subcommand="simulate", m_sweep=list(range(100, 1001, 50)), n=1024,
+            K=[15, 30],
             cases=[SignalCase.flat(), SignalCase.decaying(1.1),
                    SignalCase.decaying(1.2), SignalCase.gaussian(1.0)],
             trials=1000, seed=0, formats=("csv", "json", "svg"),
         )
         assert self._namespace(monkeypatch, ["bound", "--config", reference]) == dict(
-            subcommand="bound", out_dir=None, m=None, m_sweep="100:50:1000", n=1024,
-            K=15, phi="cs", alpha=None, formats=("csv", "svg"),
+            subcommand="bound", out_dir=".", m=None, m_sweep=list(range(100, 1001, 50)),
+            n=1024, K=15, phi="cs", alpha=None, formats=("csv", "svg"),
         )
+
+    @pytest.mark.parametrize(
+        "subcommand, option",
+        [(name, opt) for name, (_, options) in cli._COMMANDS.items() for opt in options],
+        ids=lambda v: v if isinstance(v, str) else v.flag,
+    )
+    def test_flag_and_config_key_agree(self, tmp_path, monkeypatch, subcommand, option):
+        monkeypatch.delenv("OMP_LAB_SEED", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        text = _OPTION_SAMPLES[option.flag]
+        by_flag = self._namespace(monkeypatch, [subcommand, f"--{option.flag}", text])
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[{subcommand}]\n{option.flag} = {text}\n")
+        by_config = self._namespace(monkeypatch, [subcommand, "--config", str(ini)])
+        value = option.type(text)
+        assert by_flag[option.attr] == ([value] if option.repeat else value)
+        assert by_flag[option.attr] != self._namespace(monkeypatch, [subcommand])[option.attr]
+        assert by_config == by_flag
+
+
+# A value for each option of the table, other than its default.
+_OPTION_SAMPLES = {
+    "out-dir": "elsewhere", "m": "24", "m-sweep": "24:16:56", "n": "64", "K": "3",
+    "case": "decay11", "trials": "7", "seed": "5", "threads": "9", "formats": "json,svg",
+    "t-max": "9", "phi": "decay", "alpha": "1.5", "threshold": "0.5",
+}
 
 
 def _csv_cell(value):

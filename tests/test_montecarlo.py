@@ -586,6 +586,33 @@ class TestRunExperiment:
             assert sorted(runs[workers][0]) == sorted(runs[1][0])
             assert runs[workers][1] == runs[1][1]
 
+    def test_forked_workers_run_one_blas_thread(self, monkeypatch, tmp_path, forks):
+        """The parent's BLAS runs two threads, warmed by a product; each
+        worker of a 2-worker run records its BLAS thread count on its
+        first task.  On a 1-CPU host OpenBLAS runs one thread anyway, and
+        the test passes trivially."""
+        get, set_threads = _blas_thread_functions()
+        if get is None:
+            pytest.skip("no OpenBLAS loaded")
+        real = montecarlo._count_successes
+
+        def recorded(*task):
+            (tmp_path / str(os.getpid())).write_text(str(get()), encoding="utf-8")
+            return real(*task)
+
+        monkeypatch.setattr(montecarlo, "_count_successes", recorded)
+        before = get()
+        set_threads(2)
+        try:
+            np.ones((256, 256)) @ np.ones((256, 256))
+            parent = get()
+            run_experiment(_small_config(trials=2), workers=2)
+        finally:
+            set_threads(before)
+        assert forks == [2]
+        assert parent == min(2, os.cpu_count() or 1)
+        assert [p.read_text(encoding="utf-8") for p in tmp_path.iterdir()] == ["1", "1"]
+
     def test_dealing_balances_the_transition_grid(self):
         # the benchmark's 72-point transition grid at 8 trials: one task
         # per (case, K) row, of cost 8 * 15^2 or 8 * 30^2.  Dealt in task
@@ -607,6 +634,21 @@ class TestRunExperiment:
         # costs 9, 81, 18, 81: the 81s first, then 18 and 9 to the lighter
         assert montecarlo._deal(tasks, 2) == [1, 0, 0, 1]
         assert montecarlo._deal(tasks, 5) == [3, 0, 2, 1]
+
+
+def _blas_thread_functions():
+    """The thread-count getter and setter of this process's OpenBLAS,
+    or two Nones."""
+    import ctypes
+
+    with open("/proc/self/maps", errors="replace") as maps:
+        paths = {line.split(None, 5)[-1].strip() for line in maps if "openblas" in line}
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for name in montecarlo._BLAS_SETTERS:
+            if hasattr(lib, name):
+                return getattr(lib, name.replace("_set_", "_get_")), getattr(lib, name)
+    return None, None
 
 
 def _assert_no_child_left():

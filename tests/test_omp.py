@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from omp_lab.omp import (
     DegenerateColumnError,
     IncrementalLeastSquares,
-    InstanceTooLargeError,
     OmpResult,
-    brute_force_best_support,
     check_exact_recovery,
     recovers_stack,
     run_omp,
@@ -26,6 +24,8 @@ from omp_lab.signals import (
     sample_sensing_matrix,
     sample_support,
 )
+
+from oracles import InstanceTooLargeError, brute_force_best_support
 
 
 def _random_instance(seed, m, n, K, case=None):

@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omp_lab.phi import (
-    PhiFunction,
-    validate_phi_empirical,
-    vector_disparity_ratio,
-)
+from omp_lab.phi import PhiFunction, validate_phi_empirical
 from omp_lab.signals import StreamKey
+
+from oracles import vector_disparity_ratio
 
 # Frozen 60-digit reference evaluations of the geometric budget
 # (a**t - 1)(a + 1) / ((a**t + 1)(a - 1)).
