@@ -15,13 +15,13 @@ Subcommands:
   SVG figures.
 
 ``_COMMANDS`` declares every option once: its flag, which is also its
-config key, its type function and its default.  The parser, the INI
-config file (one section per subcommand, keys spelled like the flag with
-``-`` or ``_`` in any case, repeatable flags as comma lists) and the
-defaults all come from it.  Flags win over the file, the file over the
-default; the master seed's default is the ``OMP_LAB_SEED`` environment
-variable, else 0.  Exit codes: 0 success, 1 runtime failure, 2 usage error,
-3 threshold not met.
+config key, its type function, its default and its help line.  The
+parser and its ``--help``, the INI config file (one section per
+subcommand, keys spelled like the flag with ``-`` or ``_`` in any case,
+repeatable flags as comma lists) and the defaults all come from it.
+Flags win over the file, the file over the default; the master seed's
+default is the ``OMP_LAB_SEED`` environment variable, else 0.  Exit
+codes: 0 success, 1 runtime failure, 2 usage error, 3 threshold not met.
 """
 
 from __future__ import annotations
@@ -173,9 +173,10 @@ def _usable_cpus() -> int:
 class Option(NamedTuple):
     """One long flag of a subcommand; ``flag`` is also its config key.
 
-    A callable ``default`` is called when the default is used.  A
-    repeatable option collects a list, from repeated flags or from one
-    comma list in a config file.
+    A callable ``default`` is called when the default is used; ``help``
+    then names it in words, while any other default is appended to the
+    help by :func:`build_parser`.  A repeatable option collects a list,
+    from repeated flags or from one comma list in a config file.
     """
 
     flag: str
@@ -184,6 +185,7 @@ class Option(NamedTuple):
     repeat: bool = False
     dest: Optional[str] = None
     metavar: Optional[str] = None
+    help: str = ""
 
     @property
     def attr(self) -> str:
@@ -191,52 +193,74 @@ class Option(NamedTuple):
         return self.dest or self.flag.replace("-", "_")
 
 
-_OUT_DIR = Option("out-dir", str, ".")
-_M = Option("m", _parse_positive_int, repeat=True)
-_M_SWEEP = Option("m-sweep", _parse_sweep, metavar="LO:STEP:HI")
-_N = Option("n", _parse_positive_int, 1024)
-_SEED = Option("seed", _parse_seed, _default_seed)
+_OUT_DIR = Option("out-dir", str, ".", help="directory the artifacts are written to")
+_M = Option("m", _parse_positive_int, repeat=True,
+            help="number of measurements; repeat for more values")
+_M_SWEEP = Option("m-sweep", _parse_sweep, metavar="LO:STEP:HI",
+                  help="m from LO to HI in steps of STEP, instead of --m")
+_N = Option("n", _parse_positive_int, 1024, help="signal length")
+_SEED = Option("seed", _parse_seed, _default_seed,
+               help=f"master seed of every random draw (default: ${SEED_ENV_VAR}, else 0)")
 _PHI = Option("phi", _parse_choice("phi", {v: v for v in ("cs", "decay", "gauss")}),
-              metavar="{cs,decay,gauss}")
-_ALPHA = Option("alpha", _parse_float)
-_T_MAX = Option("t-max", _parse_positive_int, 50)
+              metavar="{cs,decay,gauss}",
+              help="disparity budget: Cauchy-Schwarz, geometric decay "
+              "(needs --alpha) or Gaussian empirical")
+_ALPHA = Option("alpha", _parse_float, help="decay ratio of --phi decay, above 1")
+_T_MAX = Option("t-max", _parse_positive_int, 50, help="largest subset size t")
+_FORMATS = Option("formats", _parse_formats,
+                  help="comma list of artifact formats, from " + ", ".join(_ALL_FORMATS))
 
 # Every option of every subcommand but --config, which names the file.
 _COMMANDS: Dict[str, Tuple[str, Tuple[Option, ...]]] = {
     "bound": ("evaluate the probability bounds", (
         _OUT_DIR, _M, _M_SWEEP, _N,
-        Option("K", _parse_positive_int),
+        Option("K", _parse_positive_int, help="sparsity level"),
         _PHI._replace(default="cs"),
         _ALPHA,
-        Option("formats", _parse_formats, ("csv",)),
+        _FORMATS._replace(default=("csv",)),
     )),
     "simulate": ("run the Monte Carlo experiment", (
         _OUT_DIR, _M, _M_SWEEP, _N,
-        Option("K", _parse_positive_int, (15, 30), repeat=True),
+        Option("K", _parse_positive_int, (15, 30), repeat=True,
+               help="sparsity level; repeat for more values"),
         Option("case", _parse_choice("case", _CASE_TOKENS), tuple(_CASE_TOKENS.values()),
-               repeat=True, dest="cases", metavar="{" + "|".join(sorted(_CASE_TOKENS)) + "}"),
-        Option("trials", _parse_positive_int, 1000),
+               repeat=True, dest="cases", metavar="{" + "|".join(sorted(_CASE_TOKENS)) + "}",
+               help="signal magnitudes; repeat for more cases"),
+        Option("trials", _parse_positive_int, 1000, help="trials per grid point"),
         _SEED,
-        Option("threads", _parse_positive_int, _usable_cpus),
-        Option("formats", _parse_formats, ("csv", "json")),
+        Option("threads", _parse_positive_int, _usable_cpus,
+               help="worker processes, each placed on its own CPU (default: the "
+               "number of CPUs in this process's affinity mask)"),
+        _FORMATS._replace(default=("csv", "json")),
     )),
     "validate-phi": ("empirical disparity check", (
         _OUT_DIR, _T_MAX,
-        Option("trials", _parse_positive_int, 50000),
+        Option("trials", _parse_positive_int, 50000, help="Gaussian draws per size t"),
         _SEED,
         _PHI._replace(default="gauss"),
         _ALPHA,
-        Option("threshold", _parse_probability, 0.995),
-        Option("formats", _parse_formats, ("csv",)),
+        Option("threshold", _parse_probability, 0.995,
+               help="least pass rate at every size t; below it, exit 3"),
+        _FORMATS._replace(default=("csv",)),
     )),
     "plot-phi": ("tabulate/plot budget curves", (
         _OUT_DIR,
-        Option("alpha", _parse_float, (1.0, 1.5, 2.0, 2.5), repeat=True, dest="alphas"),
-        _T_MAX,
-        Option("formats", _parse_formats, ("csv", "svg")),
+        Option("alpha", _parse_float, (1.0, 1.5, 2.0, 2.5), repeat=True, dest="alphas",
+               help="decay ratio of a curve, 1 or above; repeat for more curves"),
+        _T_MAX._replace(help="largest t of the curves"),
+        _FORMATS._replace(default=("csv", "svg")),
     )),
     "report": ("merge experiment CSVs into SVGs", (_OUT_DIR,)),
 }
+
+
+def _shown(value: Any) -> str:
+    """A default as a config file would spell it."""
+    if isinstance(value, tuple):
+        return ",".join(_shown(v) for v in value)
+    if isinstance(value, SignalCase):
+        return next(token for token, case in _CASE_TOKENS.items() if case == value)
+    return f"{value:g}" if isinstance(value, float) else str(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,12 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="INI config file; flags override it")
         for opt in options:
+            shown = opt.default is not None and not callable(opt.default)
             p.add_argument(
                 f"--{opt.flag}",
                 action="append" if opt.repeat else "store",
                 type=opt.type,
                 dest=opt.attr,
                 metavar=opt.metavar,
+                help=f"{opt.help} (default: {_shown(opt.default)})" if shown else opt.help,
             )
         if name == "report":
             p.add_argument("inputs", nargs="*", metavar="CSV")

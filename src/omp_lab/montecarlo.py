@@ -155,7 +155,7 @@ class TrialError(RuntimeError):
 
     def __reduce__(self):
         # Rebuild from the fields: ``args`` holds only the message, and
-        # the error must survive the trip back from a pool worker.
+        # the error must survive the pickled trip back from a worker.
         return type(self), (self.m, self.K, self.case, self.trial_index, self.cause)
 
 
@@ -471,6 +471,25 @@ def _one_blas_thread() -> None:
                 break
 
 
+def _place_on_cpu(cpus: Sequence[int], i: int) -> None:
+    """Move this process onto CPU ``cpus[i % len(cpus)]``, then allow it
+    all of ``cpus`` again.
+
+    A forked child starts on its parent's CPU.  Where the scheduler
+    does not balance load across CPUs (a cpuset with
+    ``sched_load_balance`` 0), it never moves, and workers forked in
+    turn would all share one CPU.  Setting a one-CPU mask moves the
+    process before the call returns; restoring the full mask leaves
+    a balancing scheduler free to move it later.  Where the call fails,
+    the process stays where it is.
+    """
+    try:
+        os.sched_setaffinity(0, {cpus[i % len(cpus)]})
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
 def _forked_tallies(
     tasks: Sequence[tuple], workers: int
 ) -> Iterator[Optional[Tuple[int, ...]]]:
@@ -478,15 +497,19 @@ def _forked_tallies(
     order.
 
     Forks ``workers`` children, each with a pipe and its share of
-    :func:`_deal`, and reads each task from its owner's pipe.  Each
-    child runs its BLAS on one thread (:func:`_one_blas_thread`).  A
-    task's error is raised here; a worker that ends without its reply
-    raises a ``RuntimeError``.  However the generator ends, every child
-    is killed and reaped first.
+    :func:`_deal`, and reads each task from its owner's pipe.  Child
+    ``i`` first moves onto CPU ``i`` of this process's affinity mask,
+    modulo its size, and gets the whole mask back
+    (:func:`_place_on_cpu`; skipped where the platform has no
+    affinity calls), then runs its BLAS on one thread
+    (:func:`_one_blas_thread`).  A task's error is raised here; a
+    worker that ends without its reply raises a ``RuntimeError``.
+    However the generator ends, every child is killed and reaped first.
     """
     import signal  # only a forking run needs it
 
     owners = _deal(tasks, workers)
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
     children: List[Tuple[int, BinaryIO]] = []
     try:
         for i in range(workers):
@@ -503,6 +526,8 @@ def _forked_tallies(
                     os.close(r)
                     for _, reader in children:
                         reader.close()
+                    if cpus:
+                        _place_on_cpu(cpus, i)
                     _one_blas_thread()
                     with open(w, "wb") as out:
                         _serve(tasks, [j for j, o in enumerate(owners) if o == i], out)
@@ -544,9 +569,12 @@ def run_experiment(
     len(m_values))``, whatever ``workers`` is, and each run, taken at
     all of the row's m values, is one task.  With ``min(workers,
     tasks)`` above 1 and ``os.fork`` available, that many children are
-    forked; the tasks are dealt before the fork, costliest first
-    (``count * K^2``), each to the least-loaded child, and each child
-    runs its share in task order and pipes back each task's counts.
+    forked, each placed on its own CPU of the affinity mask (a
+    scheduler that does not balance load would otherwise leave them all
+    on the parent's); the tasks are dealt before the fork, costliest
+    first (``count * K^2``), each to the least-loaded child, and each
+    child runs its share in task order and pipes back each task's
+    counts.
     Otherwise the tasks run here, in order.  Meanwhile the parent
     maximizes every bound in one :func:`~omp_lab.bounds.maximize_bounds`
     search, over the distinct (m, K, phi) and the distinct (m, K).  It

@@ -425,6 +425,25 @@ class TestTopLevel:
         )
         assert json.loads(_run_python(code)) == []
 
+    def test_import_leaves_numpy_random_unloaded(self):
+        # loading it costs about 15 ms and 6 MB of RSS, which only the
+        # process that draws trials, a worker or a one-process run,
+        # should pay
+        code = "import sys, omp_lab.cli; print('numpy.random' in sys.modules)"
+        assert _run_python(code) == "False\n"
+
+    @pytest.mark.parametrize("subcommand", list(cli._COMMANDS))
+    def test_help_explains_every_option(self, subcommand, capsys):
+        assert main([subcommand, "--help"]) == EXIT_OK
+        # argparse wraps lines, so compare with whitespace removed
+        text = "".join(capsys.readouterr().out.split())
+        for opt in cli._COMMANDS[subcommand][1]:
+            assert opt.help
+            line = f"--{opt.flag} {opt.metavar or opt.attr.upper()} {opt.help}"
+            if opt.default is not None and not callable(opt.default):
+                line += f" (default: {cli._shown(opt.default)})"
+            assert "".join(line.split()) in text
+
     def test_heap_frozen_at_exit(self):
         # atexit handlers run last-registered first, so a probe registered
         # before the import runs after the CLI's handler

@@ -613,6 +613,47 @@ class TestRunExperiment:
         assert parent == min(2, os.cpu_count() or 1)
         assert [p.read_text(encoding="utf-8") for p in tmp_path.iterdir()] == ["1", "1"]
 
+    @staticmethod
+    def _record_affinity(monkeypatch, tmp_path, fail):
+        """Replace ``os.sched_setaffinity`` with a recorder that appends
+        each mask it is asked for to ``tmp_path/<pid>``, then sets it or,
+        with ``fail``, raises ``OSError``.  Forked children inherit it."""
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no affinity calls on this platform")
+        real = os.sched_setaffinity
+
+        def record(pid, mask):
+            with open(tmp_path / str(os.getpid()), "a", encoding="utf-8") as log:
+                log.write(",".join(str(c) for c in sorted(mask)) + "\n")
+            if fail:
+                raise OSError("affinity refused")
+            real(pid, mask)
+
+        monkeypatch.setattr(os, "sched_setaffinity", record)
+
+    def test_forked_workers_placed_on_distinct_cpus(self, monkeypatch, tmp_path, forks):
+        """Each worker of a 2-worker run first asks for one CPU, a
+        different one for each while the mask has two or more, then for
+        the whole mask.  Where the kernel runs them is not asserted: a
+        balancing scheduler may move them."""
+        self._record_affinity(monkeypatch, tmp_path, fail=False)
+        mask = ",".join(str(c) for c in sorted(os.sched_getaffinity(0)))
+        run_experiment(_small_config(trials=2), workers=2)
+        assert forks == [2]
+        calls = [p.read_text(encoding="utf-8").split() for p in tmp_path.iterdir()]
+        assert len(calls) == 2
+        assert all(len(c) == 2 and c[1] == mask and "," not in c[0] for c in calls)
+        if "," in mask:
+            assert calls[0][0] != calls[1][0]
+        assert sorted(os.sched_getaffinity(0)) == [int(c) for c in mask.split(",")]
+
+    def test_workers_run_where_placement_fails(self, monkeypatch, tmp_path, forks):
+        self._record_affinity(monkeypatch, tmp_path, fail=True)
+        config = _small_config(trials=6)
+        assert run_experiment(config, workers=2) == run_experiment(config, workers=1)
+        assert forks == [2]
+        assert len(list(tmp_path.iterdir())) == 2
+
     def test_dealing_balances_the_transition_grid(self):
         # the benchmark's 72-point transition grid at 8 trials: one task
         # per (case, K) row, of cost 8 * 15^2 or 8 * 30^2.  Dealt in task
