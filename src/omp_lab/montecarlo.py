@@ -410,14 +410,6 @@ def _deal(tasks: Sequence[tuple], workers: int) -> List[int]:
     return owners
 
 
-def _local_tallies(tasks: Sequence[tuple]) -> Iterator[Optional[Tuple[int, ...]]]:
-    """:func:`_forked_tallies` without workers: each task runs here when
-    its counts are read."""
-    yield None
-    for task in tasks:
-        yield _count_successes(*task)
-
-
 def _serve(tasks: Sequence[tuple], share: List[int], out: BinaryIO) -> None:
     """A worker's loop: run the tasks of ``share`` in order and pickle
     each one's counts to ``out``, or the first error, then stop."""
@@ -490,16 +482,13 @@ def _place_on_cpu(cpus: Sequence[int], i: int) -> None:
         pass
 
 
-def _forked_tallies(
-    tasks: Sequence[tuple], workers: int
-) -> Iterator[Optional[Tuple[int, ...]]]:
-    """Yield None once the workers run, then each task's counts in task
-    order.
+def _forked_tallies(tasks: Sequence[tuple], workers: int) -> Iterator[Tuple[int, ...]]:
+    """Yield each task's counts in task order, run by forked workers.
 
-    Forks ``workers`` children, each with a pipe and its share of
-    :func:`_deal`, and reads each task from its owner's pipe.  Child
-    ``i`` first moves onto CPU ``i`` of this process's affinity mask,
-    modulo its size, and gets the whole mask back
+    When first read, forks ``workers`` children, each with a pipe and
+    its share of :func:`_deal`, and reads each task from its owner's
+    pipe.  Child ``i`` first moves onto CPU ``i`` of this process's
+    affinity mask, modulo its size, and gets the whole mask back
     (:func:`_place_on_cpu`; skipped where the platform has no
     affinity calls), then runs its BLAS on one thread
     (:func:`_one_blas_thread`).  A task's error is raised here; a
@@ -538,7 +527,6 @@ def _forked_tallies(
                     os._exit(code)
             os.close(w)
             children.append((pid, open(r, "rb")))
-        yield None
         for j, i in enumerate(owners):
             pid, reader = children[i]
             try:
@@ -564,6 +552,13 @@ def run_experiment(
 ) -> ExperimentResult:
     """Sweep the config's grid and tally recoveries at every point.
 
+    First every bound is maximized in one
+    :func:`~omp_lab.bounds.maximize_bounds` search, over the distinct
+    (m, K, phi) and the distinct (m, K); a failing search raises before
+    any child exists.  It does not overlap the trials: with as many
+    workers as CPUs, the default, it would only share one worker's CPU
+    and save no time.
+
     The whole grid is one task list.  Each (case, K) row's trial indices
     are split into runs of at most ``max(1, _stack_size(K) //
     len(m_values))``, whatever ``workers`` is, and each run, taken at
@@ -574,14 +569,11 @@ def run_experiment(
     on the parent's); the tasks are dealt before the fork, costliest
     first (``count * K^2``), each to the least-loaded child, and each
     child runs its share in task order and pipes back each task's
-    counts.
-    Otherwise the tasks run here, in order.  Meanwhile the parent
-    maximizes every bound in one :func:`~omp_lab.bounds.maximize_bounds`
-    search, over the distinct (m, K, phi) and the distinct (m, K).  It
-    then reads the tasks in grid order, each from its owner, and calls
-    ``progress`` with ``(points_done, points_total, result)`` for each
-    point of a row as soon as the row's last task is in.  Per-trial
-    keyed streams make the result identical for every worker count.  A
+    counts.  The parent reads the tasks in grid order, each from its
+    owner.  Otherwise the tasks run here, in order.  ``progress`` is
+    called with ``(points_done, points_total, result)`` for each point
+    of a row as soon as the row's last task is in.  Per-trial keyed
+    streams make the result identical for every worker count.  A
     failing trial raises its ``TrialError`` here, the first in grid
     order; on any error every child is killed and reaped first.
     """
@@ -589,20 +581,19 @@ def run_experiment(
         raise ValueError("workers must be >= 1")
     grid = list(config.grid_points())
     trials, ms = config.trials, config.m_values
+    n, phis = config.n, {case: phi_for_case(case) for case in config.cases}
+    disparity = list(dict.fromkeys((m, n, K, phis[case]) for case, K, m in grid))
+    baseline = list(dict.fromkeys((m, n, K) for _, K, m in grid))
+    new, old = bounds.maximize_bounds(disparity, baseline)
+    new_value = {q: b.value for q, b in zip(disparity, new)}
+    old_value = {q: b.value for q, b in zip(baseline, old)}
     tasks = _tasks(config)
     workers = min(workers, len(tasks))
     if workers > 1 and hasattr(os, "fork"):
         tallies = _forked_tallies(tasks, workers)
     else:
-        tallies = _local_tallies(tasks)
+        tallies = (_count_successes(*task) for task in tasks)
     try:
-        next(tallies)  # the workers run from here on
-        n, phis = config.n, {case: phi_for_case(case) for case in config.cases}
-        disparity = list(dict.fromkeys((m, n, K, phis[case]) for case, K, m in grid))
-        baseline = list(dict.fromkeys((m, n, K) for _, K, m in grid))
-        new, old = bounds.maximize_bounds(disparity, baseline)
-        new_value = {q: b.value for q, b in zip(disparity, new)}
-        old_value = {q: b.value for q, b in zip(baseline, old)}
         points = []
         successes = [0] * len(grid)
         for task, counts in zip(tasks, tallies):

@@ -534,6 +534,39 @@ class TestRunExperiment:
             (i + 1, 4, *point) for i, point in enumerate(config.grid_points())
         ]
 
+    def test_bounds_maximized_before_any_fork(self, monkeypatch):
+        # with as many workers as CPUs, a search beside the workers would
+        # only share one worker's CPU; the parent records when the search
+        # returns and when each child is forked
+        events = []
+        real_fork, real_maximize = os.fork, bounds_mod.maximize_bounds
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                events.append("fork")
+            return pid
+
+        def maximize(disparity, baseline):
+            found = real_maximize(disparity, baseline)
+            events.append("bounds")
+            return found
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(bounds_mod, "maximize_bounds", maximize)
+        run_experiment(_small_config(), workers=2)
+        assert events == ["bounds", "fork", "fork"]
+
+    def test_failing_bound_search_forks_nothing(self, monkeypatch, forks):
+        def fails(disparity, baseline):
+            raise RuntimeError("bound search failed")
+
+        monkeypatch.setattr(bounds_mod, "maximize_bounds", fails)
+        with pytest.raises(RuntimeError, match="bound search failed"):
+            run_experiment(_small_config(), workers=2)
+        assert forks == []
+        _assert_no_child_left()
+
     def test_workers_validated(self):
         with pytest.raises(ValueError):
             run_experiment(_small_config(trials=1), workers=0)
