@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import configparser
-import csv
 import gc
 import math
 import os
@@ -298,6 +296,8 @@ def _resolve_options(ns: argparse.Namespace) -> None:
     if ns.config is not None:
         if not os.path.isfile(ns.config):
             raise UsageError(f"config file not found: {ns.config}")
+        import configparser  # only a --config run needs it
+
         ini = configparser.ConfigParser()
         ini.optionxform = str  # keep key case for error messages
         try:
@@ -538,6 +538,8 @@ def _cmd_plot_phi(ns: argparse.Namespace) -> int:
 
 
 def _cmd_report(ns: argparse.Namespace) -> int:
+    import csv  # only report reads CSV
+
     if not ns.inputs:
         raise UsageError("report needs at least one experiment CSV")
     needed = {"m", "K", "case", "empirical_prob", "new_bound", "existing_bound"}

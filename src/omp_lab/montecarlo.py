@@ -88,6 +88,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import sys
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -463,6 +464,41 @@ def _one_blas_thread() -> None:
                 break
 
 
+# The built-in modules that ``hashlib`` falls back on where ``_hashlib``,
+# its OpenSSL binding, cannot be imported; 3.12 merged the SHA-2 pair
+# into ``_sha2``.
+_BUILTIN_HASHES = ("_md5", "_sha1", "_blake2", "_sha3") + (
+    ("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")
+)
+
+
+def _import_random_without_openssl() -> None:
+    """Import ``numpy.random`` with ``hashlib`` on its built-in modules.
+
+    ``numpy.random`` imports ``secrets``, which imports ``hmac`` and
+    ``hashlib``, and they load ``_hashlib`` and with it OpenSSL's
+    libcrypto: about 3.4 MB of a worker's RSS and 4 ms of its first
+    task, for hashes that no seeded stream uses (PCG64 and SeedSequence
+    never touch them).  Hiding ``_hashlib`` for this one import sends
+    both to CPython's built-in hash modules instead.  Where the parent
+    already holds ``numpy.random`` or ``_hashlib``, or a built-in
+    module is missing (``hashlib`` would log each hash it lacks), the
+    import is a plain one.
+    """
+    import importlib.util  # site has loaded it at start-up
+
+    hide = not {"numpy.random", "_hashlib"} & sys.modules.keys() and all(
+        importlib.util.find_spec(name) is not None for name in _BUILTIN_HASHES
+    )
+    if hide:
+        sys.modules["_hashlib"] = None
+    try:
+        import numpy.random
+    finally:
+        if hide:
+            del sys.modules["_hashlib"]
+
+
 def _place_on_cpu(cpus: Sequence[int], i: int) -> None:
     """Move this process onto CPU ``cpus[i % len(cpus)]``, then allow it
     all of ``cpus`` again.
@@ -491,9 +527,13 @@ def _forked_tallies(tasks: Sequence[tuple], workers: int) -> Iterator[Tuple[int,
     affinity mask, modulo its size, and gets the whole mask back
     (:func:`_place_on_cpu`; skipped where the platform has no
     affinity calls), then runs its BLAS on one thread
-    (:func:`_one_blas_thread`).  A task's error is raised here; a
-    worker that ends without its reply raises a ``RuntimeError``.
-    However the generator ends, every child is killed and reaped first.
+    (:func:`_one_blas_thread`), then imports ``numpy.random`` without
+    OpenSSL's libcrypto, which no seeded stream needs and which would
+    add about 3.4 MB to each worker
+    (:func:`_import_random_without_openssl`).
+    A task's error is raised here; a worker that ends without its reply
+    raises a ``RuntimeError``.  However the generator ends, every child
+    is killed and reaped first.
     """
     import signal  # only a forking run needs it
 
@@ -518,6 +558,7 @@ def _forked_tallies(tasks: Sequence[tuple], workers: int) -> Iterator[Tuple[int,
                     if cpus:
                         _place_on_cpu(cpus, i)
                     _one_blas_thread()
+                    _import_random_without_openssl()
                     with open(w, "wb") as out:
                         _serve(tasks, [j for j, o in enumerate(owners) if o == i], out)
                     code = 0
@@ -566,7 +607,10 @@ def run_experiment(
     tasks)`` above 1 and ``os.fork`` available, that many children are
     forked, each placed on its own CPU of the affinity mask (a
     scheduler that does not balance load would otherwise leave them all
-    on the parent's); the tasks are dealt before the fork, costliest
+    on the parent's), with its BLAS on one thread and ``numpy.random``
+    imported without OpenSSL's libcrypto, which seeded streams never
+    use; the calling process's imports, and so a one-worker run's, are
+    left to the caller.  The tasks are dealt before the fork, costliest
     first (``count * K^2``), each to the least-loaded child, and each
     child runs its share in task order and pipes back each task's
     counts.  The parent reads the tasks in grid order, each from its

@@ -413,10 +413,13 @@ class TestTopLevel:
     def test_import_loads_no_scipy_or_unused_stdlib(self):
         # numpy is the only runtime dependency; scipy is a test extra.  Nor
         # does the CLI pull in the stdlib's XML, network or statistics
-        # stacks, or the process-pool stack: workers are plain forks.
+        # stacks, or the process-pool stack: workers are plain forks.  The
+        # config parser and the CSV reader load only where --config or
+        # report needs them, and nothing hashes.
         forbidden = (
             "scipy", "xml.sax", "urllib.request", "http", "ssl", "email",
             "statistics", "concurrent", "logging", "multiprocessing",
+            "configparser", "csv", "hashlib",
         )
         code = (
             "import json, sys, omp_lab.cli; print(json.dumps(sorted("
@@ -426,9 +429,10 @@ class TestTopLevel:
         assert json.loads(_run_python(code)) == []
 
     def test_import_leaves_numpy_random_unloaded(self):
-        # loading it costs about 15 ms and 6 MB of RSS, which only the
-        # process that draws trials, a worker or a one-process run,
-        # should pay
+        # loading it costs a forked worker about 20 ms and 4.5 MB of RSS,
+        # and in a process that loads OpenSSL's hashes with it (a
+        # one-process run) about 4 ms and 3.4 MB more; only the process
+        # that draws trials should pay
         code = "import sys, omp_lab.cli; print('numpy.random' in sys.modules)"
         assert _run_python(code) == "False\n"
 

@@ -1,10 +1,14 @@
 """Experiment engine: config validation, keyed trials, aggregation."""
 
 import contextlib
+import importlib.util
+import json
 import math
 import os
 import signal
 import statistics
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -708,6 +712,80 @@ class TestRunExperiment:
         # costs 9, 81, 18, 81: the 81s first, then 18 and 9 to the lighter
         assert montecarlo._deal(tasks, 2) == [1, 0, 0, 1]
         assert montecarlo._deal(tasks, 5) == [3, 0, 2, 1]
+
+
+# Run in a fresh interpreter, since this one may already hold
+# ``numpy.random`` or ``hashlib``: after ``setup``, a 2-worker run of
+# ``_small_config()`` whose workers write, after each task, whether
+# ``_hashlib`` is loaded to a file named by their pid in ``argv[1]``;
+# then whether the parent loaded it, and the tallies of that run and of
+# a one-worker run.
+_WORKER_IMPORTS = """
+import json, os, sys
+from omp_lab import montecarlo
+from omp_lab.montecarlo import ExperimentConfig, run_experiment
+from omp_lab.signals import SignalCase
+
+{setup}
+real = montecarlo._count_successes
+
+def recorded(*task):
+    counts = real(*task)
+    with open(os.path.join(sys.argv[1], str(os.getpid())), "w") as log:
+        log.write(json.dumps("_hashlib" in sys.modules))
+    return counts
+
+montecarlo._count_successes = recorded
+config = ExperimentConfig(
+    n=64, m_values=(24, 40), k_values=(3,),
+    cases=(SignalCase.flat(), SignalCase.gaussian(1.0)), trials=12, master_seed=99,
+)
+forked = [p.successes for p in run_experiment(config, workers=2).points]
+parent = "_hashlib" in sys.modules
+montecarlo._count_successes = real
+serial = [p.successes for p in run_experiment(config, workers=1).points]
+print(json.dumps([parent, forked, serial]))
+"""
+
+
+class TestWorkerImports:
+    @staticmethod
+    def _run(tmp_path, setup=""):
+        """The parent's and each worker's ``_hashlib`` flag, and the
+        forked and one-worker tallies; stderr must stay empty."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(montecarlo.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", _WORKER_IMPORTS.format(setup=setup), str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            check=True, timeout=120,
+        )
+        assert done.stderr == ""
+        parent, forked, serial = json.loads(done.stdout)
+        workers = [json.loads(p.read_text(encoding="utf-8")) for p in tmp_path.iterdir()]
+        assert len(workers) == 2
+        return parent, workers, forked, serial
+
+    def test_workers_load_no_openssl(self, tmp_path):
+        parent, workers, forked, serial = self._run(tmp_path)
+        assert parent is False
+        assert workers == [False, False]
+        assert forked == serial
+
+    @pytest.mark.parametrize(
+        "setup",
+        [
+            # the parent already holds numpy.random, and with it _hashlib
+            "import numpy.random",
+            # a built-in hash module is missing
+            "montecarlo._BUILTIN_HASHES += ('_no_such_hash_module',)",
+        ],
+    )
+    def test_workers_import_plainly_otherwise(self, tmp_path, setup):
+        if importlib.util.find_spec("_hashlib") is None:
+            pytest.skip("this interpreter has no OpenSSL hashes")
+        _, workers, forked, serial = self._run(tmp_path, setup)
+        assert workers == [True, True]
+        assert forked == serial
 
 
 def _blas_thread_functions():
