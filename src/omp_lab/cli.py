@@ -365,7 +365,7 @@ def _recovery_svg(title: str, rows: Sequence[Tuple[int, float, float, float]]) -
     ms = [r[0] for r in rows]
     return svgplot.line_plot(
         [
-            svgplot.Series(label, ms, [r[i] for r in rows])
+            (label, ms, [r[i] for r in rows])
             for i, label in enumerate(("empirical", "new bound", "existing bound"), 1)
         ],
         title=title,
@@ -401,9 +401,7 @@ def _cmd_bound(ns: argparse.Namespace) -> int:
     def figure() -> str:
         return svgplot.line_plot(
             [
-                svgplot.Series(
-                    f"{name} bound", m_values, [r[5].value for r in rows if r[4] == name]
-                )
+                (f"{name} bound", m_values, [r[5].value for r in rows if r[4] == name])
                 for name in ("new", "existing")
             ],
             title=f"Recovery bounds, K={K}, n={n}, phi={phi.label()}",
@@ -477,7 +475,7 @@ def _cmd_validate_phi(ns: argparse.Namespace) -> int:
     def figure() -> str:
         return svgplot.line_plot(
             [
-                svgplot.Series(
+                (
                     f"phi={phi.label()}", report.sizes.tolist(),
                     report.probabilities.tolist(),
                 )
@@ -509,20 +507,19 @@ def _cmd_plot_phi(ns: argparse.Namespace) -> int:
     t_values = list(range(1, ns.t_max + 1))
     curves = []
     for a in ns.alphas:
-        if a == 1.0:
-            # Limit of the geometric budget as the decay ratio tends to
-            # 1; coincides with the Cauchy-Schwarz line t.
-            values = [float(t) for t in t_values]
-        elif a > 1.0:
-            phi = PhiFunction.strongly_decaying(a)
-            values = [phi(t) for t in t_values]
-        else:
+        if a < 1.0:
             raise UsageError(f"decay ratio must be 1 or greater than 1, got {a:g}")
-        curves.append((f"alpha={a:g}", t_values, values))
+        # The geometric budget tends to the Cauchy-Schwarz line t as the
+        # decay ratio tends to 1.
+        if a == 1.0:
+            phi = PhiFunction.cauchy_schwarz()
+        else:
+            phi = PhiFunction.strongly_decaying(a)
+        curves.append((f"alpha={a:g}", t_values, [phi(t) for t in t_values]))
 
     def figure() -> str:
         return svgplot.line_plot(
-            [svgplot.Series(label, ts, vals) for label, ts, vals in curves],
+            curves,
             title="Disparity budget versus subset size",
             x_label="t",
             y_label="phi(t)",

@@ -256,9 +256,10 @@ def recovers_stack(
     First, the all-on-support path: OMP on the support columns alone,
     under the rules of :func:`run_omp` (pick ``argmax_j |<r, a_j>|``
     over the columns not yet chosen, the smallest index on exact ties;
-    append it to a thin QR by CGS2; solve on R), with all rows advancing
-    one iteration at a time and no early stop.  Iteration ``k`` records
-    its residual ``u_k`` and its winning correlation ``c_k``.
+    extend an orthonormal basis of the chosen columns by CGS2; solve the
+    fit from that basis), with all rows advancing one iteration at a
+    time and no early stop.  Iteration ``k`` records its residual
+    ``u_k`` and its winning correlation ``c_k``.
 
     Second, one product per row.  OMP on ``A`` leaves this path at
     iteration ``k`` iff some off-support column beats ``c_k``; an exact
@@ -312,54 +313,48 @@ def _support_path(
     stack) alone, with values ``X`` (S-by-K), all rows at once, by the
     rules :func:`recovers_stack` states.
 
-    Returns whether each row's K-column fit lies within ``RECOVERY_TOL``
-    of its values, the residuals ``U`` (S-by-m-by-K; column ``k`` of
-    ``U[s]`` is the residual that iteration ``k`` correlates), and the
-    winning correlations ``c`` (S-by-K).
+    The pursuit keeps only the orthonormal basis ``Q`` (K-by-m) of the
+    picked columns and a mask of them.  Returns whether each row's
+    K-column fit, the solution ``z`` of ``(Q A) z = Q y``, lies within
+    ``RECOVERY_TOL`` of its values, the residuals ``U`` (S-by-m-by-K;
+    column ``k`` of ``U[s]`` is the residual that iteration ``k``
+    correlates), and the winning correlations ``c`` (S-by-K).
     """
     S, m, K = A.shape
     if not 1 <= K <= m:
         raise ValueError(f"need 1 <= K <= m, got K={K}, m={m}")
     rows = np.arange(S)
     y = np.matmul(A, X[:, :, None])  # S x m x 1
+    column_norms = np.linalg.norm(A, axis=1)  # S x K
     basis = np.zeros((S, K, m))  # row i of basis[s] is q_i of row s
-    r_factor = np.zeros((S, K, K))
-    selected = np.empty((S, K), dtype=np.intp)
+    chosen = np.zeros((S, K), dtype=bool)
     residuals = np.empty((S, m, K))
     wins = np.empty((S, K))
     residual = y
     for k in range(K):
         residuals[:, :, k] = residual[:, :, 0]
         correlations = np.abs(np.matmul(residual.transpose(0, 2, 1), A)[:, 0])
-        correlations[rows[:, None], selected[:, :k]] = -1.0
+        correlations[chosen] = -1.0
         j = np.argmax(correlations, axis=1)
         wins[:, k] = correlations[rows, j]
+        chosen[rows, j] = True
         a = A[rows, :, j][:, :, None]
         q_active = basis[:, :k]
         q_active_t = q_active.transpose(0, 2, 1)
         # CGS2, as IncrementalLeastSquares.append does it for one row.
-        coeffs = np.matmul(q_active, a)
-        v = a - np.matmul(q_active_t, coeffs)
+        v = a - np.matmul(q_active_t, np.matmul(q_active, a))
         if k > 0:
-            correction = np.matmul(q_active, v)
-            v -= np.matmul(q_active_t, correction)
-            coeffs += correction
+            v -= np.matmul(q_active_t, np.matmul(q_active, v))
         norm_v = np.sqrt(np.matmul(v.transpose(0, 2, 1), v)[:, 0, 0])
-        degenerate = norm_v <= _DEGENERATE_TOL * np.sqrt(
-            np.matmul(a.transpose(0, 2, 1), a)[:, 0, 0]
-        )
+        degenerate = norm_v <= _DEGENERATE_TOL * column_norms[rows, j]
         if degenerate.any():
             s = int(np.argmax(degenerate))
             raise DegenerateColumnError(iteration=k + 1, index=int(j[s]), row=s)
         basis[:, k] = v[:, :, 0] / norm_v[:, None]
-        r_factor[:, :k, k] = coeffs[:, :, 0]
-        r_factor[:, k, k] = norm_v
-        selected[:, k] = j
         q_active = basis[:, : k + 1]
         residual = y - np.matmul(q_active.transpose(0, 2, 1), np.matmul(q_active, y))
 
-    coefficients = np.empty((S, K))
-    coefficients[rows[:, None], selected] = np.linalg.solve(
-        r_factor, np.matmul(basis, y)
-    )[:, :, 0]
-    return np.linalg.norm(coefficients - X, axis=1) <= RECOVERY_TOL, residuals, wins
+    # All K columns are picked, so basis @ A is their R factor with its
+    # columns in index order.
+    fit = np.linalg.solve(np.matmul(basis, A), np.matmul(basis, y))[:, :, 0]
+    return np.linalg.norm(fit - X, axis=1) <= RECOVERY_TOL, residuals, wins

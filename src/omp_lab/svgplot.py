@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import html
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Series", "line_plot"]
+__all__ = ["line_plot"]
 
 _PALETTE = (
     "#1f6fb2",
@@ -38,21 +37,16 @@ _MARGIN_TOP = 42.0
 _MARGIN_BOTTOM = 52.0
 
 
-@dataclass(frozen=True)
-class Series:
-    """One labeled curve; non-finite points are dropped at render time."""
-
-    label: str
-    x: Sequence[float]
-    y: Sequence[float]
-
-    def finite_points(self) -> Tuple[np.ndarray, np.ndarray]:
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if x.shape != y.shape or x.ndim != 1:
-            raise ValueError(f"series {self.label!r} needs matching 1-D x and y")
-        keep = np.isfinite(x) & np.isfinite(y)
-        return x[keep], y[keep]
+def _finite_points(
+    label: str, x: Sequence[float], y: Sequence[float]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The curve's points with both coordinates finite."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError(f"series {label!r} needs matching 1-D x and y")
+    keep = np.isfinite(x) & np.isfinite(y)
+    return x[keep], y[keep]
 
 
 def _tick_values(lo: float, hi: float, target: int = 5) -> list[float]:
@@ -85,22 +79,23 @@ def _fmt_tick(value: float) -> str:
 
 
 def line_plot(
-    series: Sequence[Series],
+    series: Sequence[Tuple[str, Sequence[float], Sequence[float]]],
     title: str,
     x_label: str,
     y_label: str,
     y_range: Optional[Tuple[float, float]] = None,
 ) -> str:
-    """Render labeled curves to an SVG document string.
+    """Render labeled ``(label, x, y)`` curves to an SVG document string;
+    non-finite points are dropped.
 
     ``y_range`` pins the vertical axis (e.g. (0, 1.05) for probability
     curves); by default both axes fit the data with a small pad.
     """
     if not series:
         raise ValueError("need at least one series")
-    rendered = [s.finite_points() for s in series]
+    rendered = [_finite_points(*s) for s in series]
 
-    xs = np.concatenate([p[0] for p in rendered]) if rendered else np.array([])
+    xs = np.concatenate([p[0] for p in rendered])
     ys = np.concatenate([p[1] for p in rendered])
     if xs.size == 0:
         x_lo, x_hi = 0.0, 1.0
@@ -187,7 +182,7 @@ def line_plot(
 
     # The data: exactly one polyline per series, even when a series has
     # no finite points (an empty points attribute keeps the count honest).
-    for idx, (s, (sx, sy)) in enumerate(zip(series, rendered)):
+    for idx, (sx, sy) in enumerate(rendered):
         color = _PALETTE[idx % len(_PALETTE)]
         pts = " ".join(
             f"{_fmt(px)},{_fmt(py)}" for px, py in (to_px(a, b) for a, b in zip(sx, sy))
@@ -199,7 +194,7 @@ def line_plot(
 
     legend_x = _MARGIN_LEFT + 10
     legend_y = _MARGIN_TOP + 10
-    for idx, s in enumerate(series):
+    for idx, (label, _, _) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
         y0 = legend_y + 18 * idx
         parts.append(
@@ -209,7 +204,7 @@ def line_plot(
         parts.append(
             f'<text x="{_fmt(legend_x + 22)}" y="{_fmt(y0 + 5)}" '
             f'font-family="sans-serif" font-size="11">'
-            f"{html.escape(s.label, quote=False)}</text>"
+            f"{html.escape(label, quote=False)}</text>"
         )
 
     parts.append("</svg>")

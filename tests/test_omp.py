@@ -304,6 +304,19 @@ class TestRecoversStack:
         assert self._reference(support, values, blocks) == [True, False]
         assert _decide_rows(support, values, blocks).tolist() == [True, False]
 
+    @pytest.mark.parametrize("d, want", [(1e-9, False), (1e-3, True)])
+    def test_fit_check_on_an_ill_conditioned_support(self, d, want):
+        # every pick is on the support [a1 | a1 + d a2] (a1, a2
+        # orthonormal in R^4, x = (2, -1), a zero off-support column):
+        # only the K-column fit decides.  At d = 1e-9 it misses x by
+        # about 3e-8, far above RECOVERY_TOL; at d = 1e-3 by about 6e-14
+        q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((4, 2)))
+        support = np.column_stack([q[:, 0], q[:, 0] + d * q[:, 1]])[None]
+        values = np.array([[2.0, -1.0]])
+        blocks = [np.zeros((1, 4))]
+        assert self._reference(support, values, blocks) == [want]
+        assert _decide_rows(support, values, blocks).tolist() == [want]
+
     def test_row_alone_equals_row_in_stack(self):
         # reduced trials near the transition (m=60, K=10, n=256): every
         # row of a 256-row stack is decided as it is on its own

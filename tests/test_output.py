@@ -149,8 +149,8 @@ class TestPhiCsv:
 class TestSvgPlot:
     def _series(self):
         return [
-            svgplot.Series("one", [1.0, 2.0, 3.0], [0.1, 0.5, 0.9]),
-            svgplot.Series("two", [1.0, 2.0, 3.0], [0.2, 0.3, 0.4]),
+            ("one", [1.0, 2.0, 3.0], [0.1, 0.5, 0.9]),
+            ("two", [1.0, 2.0, 3.0], [0.2, 0.3, 0.4]),
         ]
 
     def test_well_formed_with_one_polyline_per_series(self):
@@ -164,7 +164,7 @@ class TestSvgPlot:
         assert "one" in texts and "two" in texts and "title" in texts
 
     def test_nonfinite_points_dropped(self):
-        series = [svgplot.Series("s", [1.0, 2.0, 3.0], [0.5, np.nan, 0.7])]
+        series = [("s", [1.0, 2.0, 3.0], [0.5, np.nan, 0.7])]
         text = svgplot.line_plot(series, "t", "x", "y")
         root = ET.fromstring(text)
         ns = "{http://www.w3.org/2000/svg}"
@@ -173,8 +173,8 @@ class TestSvgPlot:
 
     def test_all_nan_series_keeps_empty_polyline(self):
         series = [
-            svgplot.Series("good", [1.0, 2.0], [0.1, 0.2]),
-            svgplot.Series("empty", [1.0, 2.0], [np.nan, np.nan]),
+            ("good", [1.0, 2.0], [0.1, 0.2]),
+            ("empty", [1.0, 2.0], [np.nan, np.nan]),
         ]
         text = svgplot.line_plot(series, "t", "x", "y")
         root = ET.fromstring(text)
@@ -195,7 +195,7 @@ class TestSvgPlot:
         ET.fromstring(text)  # still well formed
 
     def test_escapes_markup_in_labels(self):
-        series = [svgplot.Series("a<b&c", [1.0], [1.0])]
+        series = [("a<b&c", [1.0], [1.0])]
         text = svgplot.line_plot(series, "x<y", "x", "y")
         root = ET.fromstring(text)
         ns = "{http://www.w3.org/2000/svg}"
@@ -206,10 +206,8 @@ class TestSvgPlot:
         with pytest.raises(ValueError):
             svgplot.line_plot([], "t", "x", "y")
         with pytest.raises(ValueError):
-            svgplot.line_plot(
-                [svgplot.Series("s", [1.0, 2.0], [1.0])], "t", "x", "y"
-            )
+            svgplot.line_plot([("s", [1.0, 2.0], [1.0])], "t", "x", "y")
         with pytest.raises(ValueError):
             svgplot.line_plot(
-                [svgplot.Series("s", [1.0], [1.0])], "t", "x", "y", y_range=(1.0, 1.0)
+                [("s", [1.0], [1.0])], "t", "x", "y", y_range=(1.0, 1.0)
             )
