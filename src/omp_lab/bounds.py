@@ -2,28 +2,39 @@
 
 Two bounds are implemented, for measurements ``y = A x`` with A an
 m-by-n matrix of i.i.d. normal(0, 1/m) entries and x supported on K of
-the n coordinates.
+the n coordinates.  They are one family: with the margin ``s = width -
+eps``,
+
+    P >= max over eps in (0, U] of
+         (1 - exp(-eps^2 m / 2)) * prod_k (1 - x_k)^weight
+
+    log x_k = -scale s^2 / (2 phi_k) - c_k   (- log s with the Mills tail)
+
+and only the constants differ:
+
+    =========  =============  =====  ========  =========  ======================
+    bound      width          scale  tail      weight     rows (phi_k, c_k)
+    =========  =============  =====  ========  =========  ======================
+    disparity  1 - sqrt(K/m)  m      Mills     n - K      (phi(k), c(k)), k=1..K
+    baseline   sqrt(m/K) - 1  1      Chernoff  K (n - K)  (1, 0)
+    =========  =============  =====  ========  =========  ======================
+
+with ``c(k) = 0.5 log(pi m / (2 phi(k)))``.
 
 Disparity-aware bound
     For a signal class with disparity budget ``phi`` (see
-    :mod:`omp_lab.phi`), with ``eta = 1 - sqrt(K/m) - eps``,
-
-        P >= max over eps in (0, U] of
-             (1 - exp(-eps^2 m / 2))
-             * prod_{k=1..K} (1 - x_k)^(n - K)
+    :mod:`omp_lab.phi`), the margin is ``eta = 1 - sqrt(K/m) - eps`` and
 
         x_k = exp(-eta^2 m / (2 phi(k))) / (sqrt(pi m / (2 phi(k))) * eta)
 
-    where U = 1 - sqrt(K/m) - sqrt(2 phi(K) / (m pi)).  At eps = U the
-    denominator of x_K equals 1 exactly, and each x_k stays below 1 on
-    the whole interval, so every factor is positive.
+    on (0, U], U = 1 - sqrt(K/m) - sqrt(2 phi(K) / (m pi)).  At eps = U
+    the denominator of x_K equals 1 exactly, and each x_k stays below 1
+    on the whole interval, so every factor is positive.
 
 Baseline bound
-    The phi-free reference,
-
-        P >= max over eps in (0, sqrt(m/K) - 1) of
-             (1 - exp(-eps^2 m / 2))
-             * (1 - exp(-(sqrt(m/K) - 1 - eps)^2 / 2))^(K (n - K))
+    The phi-free reference, with the single factor
+    (1 - exp(-(sqrt(m/K) - 1 - eps)^2 / 2))^(K (n - K)) on the open
+    interval (0, sqrt(m/K) - 1): U is its width.
 
 Derivation
     Both bounds lower-bound the chance that all K picks land on the
@@ -49,7 +60,9 @@ Derivation
     instead: its eps term is sqrt(m/K) times too small, which makes it
     too generous, most at large m, and is why acceptance criterion 3
     fails.  The formula stays until the reference tables that pin its
-    values change with it.
+    values change with it.  Mending it changes only the baseline's row
+    of the table: width 1 - sqrt(K/m), scale m and one row (K, 0), so
+    that s sqrt(m/K) is the Chernoff tail's argument.
 
 All arithmetic runs in the log domain: with n - K in the thousands the
 per-term factors sit extremely close to 1, and ``log(1 - e^-a)`` is
@@ -58,9 +71,10 @@ loses precision.  The maximization is one coarse-to-fine search over
 every queried point at once (:func:`maximize_bounds`): 17 evenly
 spaced eps over ``[0, U]``, then 9 more rounds of 17 between the two
 grid neighbours of the best one, which pins eps to about ``U / 2.1e9``.
-The disparity objective of the whole batch is one points-by-K-by-17
-array per round; a point with a smaller K pads its rows with terms of
-exactly -0.0, so a point gets the same doubles in any batch as alone.
+The objective of the whole batch, both bounds, is one
+points-by-rows-by-17 array per round; a point with fewer rows pads them
+with (1, +inf), terms of exactly -0.0, so a point gets the same doubles
+in any batch as alone.
 """
 
 from __future__ import annotations
@@ -193,55 +207,73 @@ def baseline_interval_upper(m: int, K: int) -> float:
     return math.sqrt(m / K) - 1.0
 
 
-def _disparity_columns(m: int, K: int, phi: PhiFunction, rows: int) -> np.ndarray:
-    """``phi(k)`` and ``0.5 log(pi m / (2 phi(k)))`` for k = 1..rows, as a
-    2-by-rows-by-1 array.  Past K the rows read 1 and +inf: the +inf
-    makes log x_k = -inf, whose term is exactly -0.0."""
-    out = np.empty((2, rows, 1))
-    out[0] = 1.0
-    out[1] = np.inf
-    out[0, :K, 0] = phik = phi.values(K)
+def _constants(
+    m: int, n: int, K: int, phi: Optional[PhiFunction] = None
+) -> Tuple[float, float, int, int, bool, int, np.ndarray]:
+    """One query's constants in the family: its search end U, the width
+    that gives the margin ``s = width - eps``, m, the scale, the Mills
+    flag, the weight, and the 2-by-rows columns of (phi_k, c_k).  The
+    disparity bound's with ``phi``, the baseline's without."""
+    if phi is None:
+        width = baseline_interval_upper(m, K)
+        return width, width, m, 1, False, K * (n - K), np.array([[1.0], [0.0]])
+    phik = phi.values(K)
     # math.log per k, so the constant is the same double at every size
-    out[1, :K, 0] = [0.5 * math.log(math.pi * m / (2.0 * p)) for p in phik]
-    return out
+    c = [0.5 * math.log(math.pi * m / (2.0 * p)) for p in phik]
+    width = 1.0 - math.sqrt(K / m)
+    return disparity_interval_upper(m, K, phi), width, m, m, True, n - K, np.array([phik, c])
 
 
-def _log_disparity(
+def _log_objective(
     m: Union[int, np.ndarray],
-    n_minus_k: Union[int, np.ndarray],
+    scale: Union[int, np.ndarray],
+    mills: Union[bool, np.ndarray],
+    weight: Union[int, np.ndarray],
     columns: np.ndarray,
     eps: np.ndarray,
-    eta: np.ndarray,
+    s: np.ndarray,
 ) -> np.ndarray:
-    """The disparity objective at ``eps >= 0`` with ``eta = 1 - sqrt(K/m) -
-    eps > 0``.
+    """The family's objective at ``eps >= 0`` with margin ``s > 0``, or
+    ``s = 0`` where ``mills`` is off.
 
-    ``eps`` and ``eta`` have shape (..., G); ``m`` and ``n_minus_k``
-    broadcast to it, and ``columns`` is :func:`_disparity_columns` with
-    the same leading axes, (..., 2, rows, 1).  The terms fill one (...,
-    rows, G) buffer and are added in k order to +0.0, so all -0.0 terms
-    (the padding rows among them) sum to +0.0; every value is the double
-    of a term-by-term loop over the point's own K rows.
+    ``eps`` and ``s`` have shape (..., G); the per-query constants of
+    :func:`_constants` broadcast to it, and ``columns`` has the same
+    leading axes, (..., 2, rows, 1).  The terms fill one (..., rows, G)
+    buffer and are added in k order to +0.0, so all -0.0 terms (the
+    padding rows among them) sum to +0.0; every value is the double of a
+    term-by-term loop over the query's own rows.  ``log s`` is taken only
+    where ``mills`` is set, since 0 times log 0 would be NaN.
     """
-    logx = np.divide((-(0.5 * m * eta * eta))[..., None, :], columns[..., 0, :, :])
+    logx = np.divide((-(0.5 * scale * s * s))[..., None, :], columns[..., 0, :, :])
     logx -= columns[..., 1, :, :]
-    logx -= np.log(eta)[..., None, :]
+    logx -= np.log(s, out=np.zeros(s.shape), where=np.asarray(mills, dtype=bool))[..., None, :]
     terms = _log1mexp_of_negated(logx)  # -inf where x_k >= 1
-    total = np.zeros(eta.shape)
+    total = np.zeros(s.shape)
     for k in range(terms.shape[-2]):
         total += terms[..., k, :]
-    return log1mexp(0.5 * m * eps * eps) + n_minus_k * total
+    return log1mexp(0.5 * m * eps * eps) + weight * total
 
 
-def _log_baseline(
-    m: Union[int, np.ndarray],
-    pairs: Union[int, np.ndarray],
-    eps: np.ndarray,
-    gap: np.ndarray,
-) -> np.ndarray:
-    """The baseline objective at ``eps`` with ``gap = sqrt(m/K) - 1 - eps``
-    and ``pairs = K (n - K)``."""
-    return log1mexp(0.5 * m * eps * eps) + pairs * log1mexp(0.5 * gap * gap)
+def _log_bound_at(
+    m: int, n: int, K: int, phi: Optional[PhiFunction], eps: Union[float, np.ndarray]
+) -> Union[float, np.ndarray]:
+    """Log of a bound at fixed ``eps``: ``-inf`` wherever ``eps`` or the
+    margin is not positive."""
+    _check_problem(m, n, K)
+    eps_arr = np.asarray(eps, dtype=float)
+    scalar = eps_arr.ndim == 0
+    eps_arr = np.atleast_1d(eps_arr).astype(float)
+    out = np.full(eps_arr.shape, -np.inf)
+    _, width, *constants, columns = _constants(m, n, K, phi)
+    s = width - eps_arr
+    ok = (eps_arr > 0.0) & (s > 0.0)
+    if np.any(ok):
+        out[ok] = _by_chunks(
+            lambda e, h: _log_objective(*constants, columns[..., None], e, h),
+            eps_arr[ok],
+            s[ok],
+        )
+    return float(out[0]) if scalar else out
 
 
 def log_disparity_bound_at(
@@ -256,19 +288,7 @@ def log_disparity_bound_at(
     Returns ``-inf`` wherever ``eps`` is outside ``(0, 1 - sqrt(K/m))``
     or some product factor is nonpositive.
     """
-    _check_problem(m, n, K)
-    eps_arr = np.asarray(eps, dtype=float)
-    scalar = eps_arr.ndim == 0
-    eps_arr = np.atleast_1d(eps_arr).astype(float)
-    out = np.full(eps_arr.shape, -np.inf)
-    eta = 1.0 - math.sqrt(K / m) - eps_arr
-    ok = (eps_arr > 0.0) & (eta > 0.0)
-    if np.any(ok):
-        columns = _disparity_columns(m, K, phi, K)
-        out[ok] = _by_chunks(
-            lambda e, h: _log_disparity(m, n - K, columns, e, h), eps_arr[ok], eta[ok]
-        )
-    return float(out[0]) if scalar else out
+    return _log_bound_at(m, n, K, phi, eps)
 
 
 def log_baseline_bound_at(
@@ -281,18 +301,7 @@ def log_baseline_bound_at(
 
     Returns ``-inf`` outside the open interval ``(0, sqrt(m/K) - 1)``.
     """
-    _check_problem(m, n, K)
-    eps_arr = np.asarray(eps, dtype=float)
-    scalar = eps_arr.ndim == 0
-    eps_arr = np.atleast_1d(eps_arr).astype(float)
-    out = np.full(eps_arr.shape, -np.inf)
-    gap = baseline_interval_upper(m, K) - eps_arr
-    ok = (eps_arr > 0.0) & (gap > 0.0)
-    if np.any(ok):
-        out[ok] = _by_chunks(
-            lambda e, g: _log_baseline(m, K * (n - K), e, g), eps_arr[ok], gap[ok]
-        )
-    return float(out[0]) if scalar else out
+    return _log_bound_at(m, n, K, None, eps)
 
 
 def _clamp_exp(log_value: float) -> float:
@@ -313,7 +322,7 @@ def _maximize(
     evaluates ``_SEARCH_POINTS + 1`` evenly spaced points per objective,
     the first over ``[0, upper]`` and each later one between the two grid
     neighbours of the previous round's best point, so a row's result
-    does not depend on the other rows.  Both objectives are ``-inf`` at
+    does not depend on the other rows.  The objectives are ``-inf`` at
     0 and at an open upper end, so the search never picks either.
     """
     rows = np.arange(upper.size)
@@ -342,46 +351,34 @@ def maximize_bounds(
     ``value = 0``, rather than an error, so sweeps can record every
     point.
     """
-    for m, n, K, *_ in (*disparity, *baseline):
+    queries = [*disparity, *baseline]
+    for m, n, K, *_ in queries:
         _check_problem(m, n, K)
-    d_upper = [disparity_interval_upper(m, K, phi) for m, _, K, phi in disparity]
-    b_upper = [baseline_interval_upper(m, K) for m, _, K in baseline]
-    d_live = [q for q, u in zip(disparity, d_upper) if u > 0.0]
-    b_live = [(m, K * (n - K), u) for (m, n, K), u in zip(baseline, b_upper) if u > 0.0]
-    rows = max((K for _, _, K, _ in d_live), default=0)
-    # per-point constants, each a column with one row per live point
-    d_m, d_n_minus_k, d_width = np.array(
-        [(m, n - K, 1.0 - math.sqrt(K / m)) for m, n, K, _ in d_live]
-    ).reshape(-1, 3, 1).transpose(1, 0, 2)
-    d_columns = np.array(
-        [_disparity_columns(m, K, phi, rows) for m, _, K, phi in d_live]
-    ).reshape(len(d_live), 2, rows, 1)
-    b_m, b_pairs, b_width = np.array(b_live).reshape(-1, 3, 1).transpose(1, 0, 2)
-
-    def log_f(grid: np.ndarray) -> np.ndarray:
-        d, b = grid[: len(d_live)], grid[len(d_live) :]
-        return np.concatenate(
-            [
-                _log_disparity(d_m, d_n_minus_k, d_columns, d, d_width - d),
-                _log_baseline(b_m, b_pairs, b, b_width - b),
-            ]
-        )
-
-    upper = np.array([u for u in d_upper + b_upper if u > 0.0])
-    found = zip(*(a.tolist() for a in _maximize(upper, log_f)))
-
-    def results(uppers: List[float]) -> List[BoundResult]:
-        # the live points are in found in argument order, disparity first
-        out = []
-        for u in uppers:
-            if u > 0.0:
-                log_value, eps = next(found)
-                out.append(BoundResult(_clamp_exp(log_value), log_value, eps, u, True))
-            else:
-                out.append(BoundResult(0.0, -np.inf, None, u, False))
-        return out
-
-    return results(d_upper), results(b_upper)
+    family = [_constants(*q) for q in queries]
+    live = [f for f in family if f[0] > 0.0]
+    rows = max((f[-1].shape[1] for f in live), default=0)
+    # per-query constants, each a column with one row per live query
+    upper, width, m, scale, mills, weight = np.array(
+        [f[:-1] for f in live]
+    ).reshape(-1, 6, 1).transpose(1, 0, 2)
+    columns = np.empty((len(live), 2, rows, 1))
+    columns[:, 0] = 1.0
+    columns[:, 1] = np.inf  # log x_k = -inf, whose term is exactly -0.0
+    for p, f in enumerate(live):
+        columns[p, :, : f[-1].shape[1], 0] = f[-1]
+    maxima, maximizers = _maximize(
+        upper[:, 0],
+        lambda grid: _log_objective(m, scale, mills, weight, columns, grid, width - grid),
+    )
+    found = zip(maxima.tolist(), maximizers.tolist())
+    results = []
+    for u, *_ in family:
+        if u > 0.0:
+            log_value, eps = next(found)
+            results.append(BoundResult(_clamp_exp(log_value), log_value, eps, u, True))
+        else:
+            results.append(BoundResult(0.0, -np.inf, None, u, False))
+    return results[: len(disparity)], results[len(disparity) :]
 
 
 def disparity_bound(m: int, n: int, K: int, phi: PhiFunction) -> BoundResult:

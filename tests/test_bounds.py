@@ -7,6 +7,7 @@ end to end.
 """
 
 import csv
+import itertools
 import math
 from pathlib import Path
 
@@ -209,6 +210,17 @@ def _per_k_loop_oracle(m, n, K, phi, eps):
     return out
 
 
+def _baseline_loop_oracle(m, n, K, eps):
+    """The baseline's two factors, its one term summed from +0.0 like the
+    disparity bound's K terms."""
+    out = np.full(eps.shape, -np.inf)
+    gap = baseline_interval_upper(m, K) - eps
+    ok = (eps > 0.0) & (gap > 0.0)
+    e, g = eps[ok], gap[ok]
+    out[ok] = log1mexp(0.5 * m * e * e) + (K * (n - K)) * (0.0 + log1mexp(0.5 * g * g))
+    return out
+
+
 class TestBroadcastMatchesLoop:
     """The K x eps broadcast gives the loop's doubles bit for bit."""
 
@@ -224,6 +236,19 @@ class TestBroadcastMatchesLoop:
         eps = width * (np.arange(1, size + 1) - 0.5) / size
         got = log_disparity_bound_at(m, 1024, K, phi, eps)
         want = _per_k_loop_oracle(m, 1024, K, phi, eps)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("K", [1, 15, 30])
+    @pytest.mark.parametrize("m", [120, 500, 1000, 10**6])
+    @pytest.mark.parametrize("size", [1, 1024])
+    def test_baseline_bit_identical(self, K, m, size):
+        # eps spans the whole (0, sqrt(m/K) - 1); at m = 1e6 the term
+        # underflows to -0.0 over most of it and the sum must be +0.0
+        width = baseline_interval_upper(m, K)
+        eps = width * (np.arange(1, size + 1) - 0.5) / size
+        got = log_baseline_bound_at(m, 1024, K, eps)
+        want = _baseline_loop_oracle(m, 1024, K, eps)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -250,11 +275,9 @@ class TestEpsChunks:
         width = baseline_interval_upper(m, K)
         eps = 1.05 * width * np.arange(1, 10**6 + 1) / 10**6
         got = log_baseline_bound_at(m, n, K, eps)
-        want = np.full(eps.shape, -np.inf)
-        ok = eps < width
-        e, gap = eps[ok], width - eps[ok]
-        want[ok] = log1mexp(0.5 * m * e * e) + (K * (n - K)) * log1mexp(0.5 * gap * gap)
+        want = _baseline_loop_oracle(m, n, K, eps)
         assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestProductTermsBelowOne:
@@ -366,6 +389,22 @@ class TestMonotonicity:
         vcs = disparity_bound(500, 1024, 15, CS).value
         assert v12 >= v11 >= vcs
 
+    def test_nondecreasing_in_m(self):
+        # one batch of every m from K + 1 to 3000, both bounds; the
+        # baseline's curves (phi None) come last, as its results do
+        curves = [(K, phi) for phi in (CS, D11, GAUSS, None) for K in (15, 30)]
+        queries = [(m, 1024, K, phi) for K, phi in curves for m in range(K + 1, 3001)]
+        new, old = bounds_mod.maximize_bounds(
+            [q for q in queries if q[3] is not None], [q[:3] for q in queries if q[3] is None]
+        )
+        found = iter(new + old)
+        for K, _ in curves:
+            curve = list(itertools.islice(found, 3000 - K))
+            values = np.array([r.value for r in curve])
+            logs = np.array([r.log_value for r in curve])
+            assert np.all(np.diff(values) >= 0.0)
+            assert np.all(np.diff(logs[np.isfinite(logs)]) >= 0.0)
+
     def test_gauss_dominates_cs(self):
         # gauss budget <= identity budget, so its bound is at least as large
         for m, K in ((400, 20), (700, 30)):
@@ -421,12 +460,10 @@ class TestBatchedSearch:
             baseline.insert(at, (m, 1024, K))
         new, old = bounds_mod.maximize_bounds(disparity, baseline)
         assert sum(not r.feasible for r in new) == 3
-        for args, got in zip(disparity, new):
-            want = disparity_bound(*args)
+        alone = [disparity_bound(*q) for q in disparity] + [baseline_bound(*q) for q in baseline]
+        for got, want in zip(new + old, alone):
             assert got == want
             assert np.signbit(got.log_value) == np.signbit(want.log_value)
-        for args, got in zip(baseline, old):
-            assert got == baseline_bound(*args)
 
     def test_empty_and_one_sided_batches(self):
         assert bounds_mod.maximize_bounds() == ([], [])

@@ -150,6 +150,23 @@ class TestDisparityRatio:
         phi = PhiFunction.strongly_decaying(alpha)
         assert vector_disparity_ratio(vec) == pytest.approx(phi(t), rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", [1.1, 1.2, 2.0])
+    def test_decay_budget_holds_on_every_subset(self, alpha):
+        # The bounds apply phi to the entries a path leaves, a subset of
+        # one vector, not a fresh t-vector.  Over all 2^14 - 1 subsets of
+        # the geometric K = 14 vector no ratio exceeds phi of its size,
+        # and some subset of each size attains it.
+        K = 14
+        masks = (np.arange(1, 2**K)[:, None] >> np.arange(K)) & 1
+        v = alpha ** -np.arange(K, dtype=float)
+        ratio = (masks @ v) ** 2 / (masks @ (v * v))
+        sizes = masks.sum(axis=1)
+        budget = PhiFunction.strongly_decaying(alpha).values(K)
+        assert np.all(ratio <= budget[sizes - 1] * (1.0 + 1e-14))
+        largest = np.zeros(K)
+        np.maximum.at(largest, sizes - 1, ratio)
+        np.testing.assert_allclose(largest, budget, rtol=1e-12)
+
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             vector_disparity_ratio([0.0, 0.0])
