@@ -71,10 +71,11 @@ loses precision.  The maximization is one coarse-to-fine search over
 every queried point at once (:func:`maximize_bounds`): 17 evenly
 spaced eps over ``[0, U]``, then 9 more rounds of 17 between the two
 grid neighbours of the best one, which pins eps to about ``U / 2.1e9``.
-The objective of the whole batch, both bounds, is one
-points-by-rows-by-17 array per round; a point with fewer rows pads them
-with (1, +inf), terms of exactly -0.0, so a point gets the same doubles
-in any batch as alone.
+The batch, both bounds, is searched in groups of points with the same
+number of (phi_k, c_k) rows, each a dense points-by-rows-by-17 array
+per round.  Every objective buffer, here and at fixed eps, holds at
+most ``_TERMS`` terms, so a group is searched a slice of points at a
+time; a point gets the same doubles in any batch as alone.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -109,9 +110,9 @@ _SEARCH_FRACTIONS = np.arange(_SEARCH_POINTS + 1) / _SEARCH_POINTS
 
 _LN2 = math.log(2.0)
 
-# The objectives are evaluated over at most this many eps at a time, so a
-# dense grid needs a K-by-chunk buffer, not a K-by-grid one.
-_EPS_CHUNK = 65536
+# Every objective buffer holds at most this many terms (points by rows
+# by eps), so memory does not grow with the batch or the eps grid.
+_TERMS = 1 << 20
 
 
 def log1mexp(a: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
@@ -148,19 +149,6 @@ def _log1mexp_of_negated(x: np.ndarray) -> np.ndarray:
     np.log1p(x, out=x, where=large)
     np.copyto(x, -np.inf, where=nonneg)
     return x
-
-
-def _by_chunks(
-    f: Callable[..., np.ndarray], *arrays: np.ndarray
-) -> np.ndarray:
-    """``f`` of the arrays, applied to ``_EPS_CHUNK``-long slices of them
-    in turn; elementwise ``f`` gives the same doubles as one call."""
-    return np.concatenate(
-        [
-            f(*(a[lo : lo + _EPS_CHUNK] for a in arrays))
-            for lo in range(0, arrays[0].size, _EPS_CHUNK)
-        ]
-    )
 
 
 @dataclass(frozen=True)
@@ -239,10 +227,10 @@ def _log_objective(
     ``eps`` and ``s`` have shape (..., G); the per-query constants of
     :func:`_constants` broadcast to it, and ``columns`` has the same
     leading axes, (..., 2, rows, 1).  The terms fill one (..., rows, G)
-    buffer and are added in k order to +0.0, so all -0.0 terms (the
-    padding rows among them) sum to +0.0; every value is the double of a
-    term-by-term loop over the query's own rows.  ``log s`` is taken only
-    where ``mills`` is set, since 0 times log 0 would be NaN.
+    buffer and are added in k order to +0.0, so all -0.0 terms sum to
+    +0.0; every value is the double of a term-by-term loop over the
+    query's own rows.  ``log s`` is taken only where ``mills`` is set,
+    since 0 times log 0 would be NaN.
     """
     logx = np.divide((-(0.5 * scale * s * s))[..., None, :], columns[..., 0, :, :])
     logx -= columns[..., 1, :, :]
@@ -266,13 +254,11 @@ def _log_bound_at(
     out = np.full(eps_arr.shape, -np.inf)
     _, width, *constants, columns = _constants(m, n, K, phi)
     s = width - eps_arr
-    ok = (eps_arr > 0.0) & (s > 0.0)
-    if np.any(ok):
-        out[ok] = _by_chunks(
-            lambda e, h: _log_objective(*constants, columns[..., None], e, h),
-            eps_arr[ok],
-            s[ok],
-        )
+    ok = np.flatnonzero((eps_arr > 0.0) & (s > 0.0))
+    step = max(1, _TERMS // columns.shape[1])
+    for lo in range(0, ok.size, step):
+        at = ok[lo : lo + step]
+        out[at] = _log_objective(*constants, columns[..., None], eps_arr[at], s[at])
     return float(out[0]) if scalar else out
 
 
@@ -342,42 +328,41 @@ def maximize_bounds(
     baseline: Sequence[Tuple[int, int, int]] = (),
 ) -> Tuple[List[BoundResult], List[BoundResult]]:
     """Maximize the disparity-aware bound at each ``(m, n, K, phi)`` and
-    the baseline bound at each ``(m, n, K)``, in one search.
+    the baseline bound at each ``(m, n, K)``.
 
-    Returns the two lists of results, aligned with the arguments.  Each
-    result is the same as the query's alone would give: the disparity
-    interval includes its upper endpoint, the baseline's is open.  A
-    nonpositive interval endpoint yields the infeasible result, with
-    ``value = 0``, rather than an error, so sweeps can record every
-    point.
+    Queries with the same number of (phi_k, c_k) rows, K for the
+    disparity bound and 1 for the baseline, are searched together, in
+    slices of at most ``_TERMS`` terms per round.  Returns the two lists
+    of results, aligned with the arguments.  Each result is the same as
+    the query's alone would give: the disparity interval includes its
+    upper endpoint, the baseline's is open.  A nonpositive interval
+    endpoint yields the infeasible result, with ``value = 0``, rather
+    than an error, so sweeps can record every point.
     """
     queries = [*disparity, *baseline]
     for m, n, K, *_ in queries:
         _check_problem(m, n, K)
     family = [_constants(*q) for q in queries]
-    live = [f for f in family if f[0] > 0.0]
-    rows = max((f[-1].shape[1] for f in live), default=0)
-    # per-query constants, each a column with one row per live query
-    upper, width, m, scale, mills, weight = np.array(
-        [f[:-1] for f in live]
-    ).reshape(-1, 6, 1).transpose(1, 0, 2)
-    columns = np.empty((len(live), 2, rows, 1))
-    columns[:, 0] = 1.0
-    columns[:, 1] = np.inf  # log x_k = -inf, whose term is exactly -0.0
-    for p, f in enumerate(live):
-        columns[p, :, : f[-1].shape[1], 0] = f[-1]
-    maxima, maximizers = _maximize(
-        upper[:, 0],
-        lambda grid: _log_objective(m, scale, mills, weight, columns, grid, width - grid),
-    )
-    found = zip(maxima.tolist(), maximizers.tolist())
-    results = []
-    for u, *_ in family:
-        if u > 0.0:
-            log_value, eps = next(found)
-            results.append(BoundResult(_clamp_exp(log_value), log_value, eps, u, True))
-        else:
-            results.append(BoundResult(0.0, -np.inf, None, u, False))
+    results = [BoundResult(0.0, -np.inf, None, f[0], False) for f in family]
+    groups: Dict[int, List[int]] = {}
+    for i, f in enumerate(family):
+        if f[0] > 0.0:
+            groups.setdefault(f[-1].shape[1], []).append(i)
+    for rows, members in groups.items():
+        step = max(1, _TERMS // (rows * (_SEARCH_POINTS + 1)))
+        for lo in range(0, len(members), step):
+            part = members[lo : lo + step]
+            # per-query constants, each a column with one row per query
+            upper, width, m, scale, mills, weight = np.array(
+                [family[i][:-1] for i in part]
+            ).T[..., None]
+            columns = np.array([family[i][-1] for i in part])[..., None]
+            maxima, maximizers = _maximize(
+                upper[:, 0],
+                lambda grid: _log_objective(m, scale, mills, weight, columns, grid, width - grid),
+            )
+            for i, log_value, eps in zip(part, maxima.tolist(), maximizers.tolist()):
+                results[i] = BoundResult(_clamp_exp(log_value), log_value, eps, family[i][0], True)
     return results[: len(disparity)], results[len(disparity) :]
 
 

@@ -311,6 +311,8 @@ def _resolve_options(ns: argparse.Namespace) -> None:
             if getattr(ns, opt.attr) is not None:
                 continue
             tokens = [t.strip() for t in text.split(",") if t.strip()] if opt.repeat else [text]
+            if not tokens:
+                raise UsageError(f"config key {key!r} needs at least one value")
             try:
                 values = [opt.type(token) for token in tokens]
             except (argparse.ArgumentTypeError, TypeError, ValueError) as err:

@@ -9,6 +9,8 @@ end to end.
 import csv
 import itertools
 import math
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -254,10 +256,12 @@ class TestBroadcastMatchesLoop:
 
 
 class TestEpsChunks:
-    """A grid far longer than one eps chunk gets the one-pass doubles."""
+    """A grid far longer than one slice of the term budget gets the
+    one-pass doubles."""
 
     def test_chunk_is_smaller_than_the_grid(self):
-        assert bounds_mod._EPS_CHUNK < 10**6
+        # at the K = 12 below, a million eps span several slices
+        assert bounds_mod._TERMS // 12 < 10**6
 
     @pytest.mark.parametrize("phi", [D11, GAUSS], ids=lambda p: p.label())
     def test_disparity_bit_identical_on_a_million_eps(self, phi):
@@ -443,9 +447,11 @@ class TestBatchedSearch:
     """``maximize_bounds`` searches many points at once; each point's
     result is the one it gets alone."""
 
-    def test_point_in_a_mixed_batch_is_bit_identical(self):
-        # K from 1 to 60 pads the shorter points' phi rows, and three
-        # infeasible points sit among the feasible ones
+    def test_point_in_a_mixed_batch_is_bit_identical(self, monkeypatch):
+        # K from 1 to 60, so groups of many row counts, and three
+        # infeasible points among the feasible ones; searched at the term
+        # budget, then at one that splits every group of three or more
+        # points into three or more slices, of up to 5 points at one row
         rng = np.random.default_rng(20)
         budgets = (CS, D11, D12, PhiFunction.strongly_decaying(2.0), GAUSS)
         disparity, baseline = [], []
@@ -458,12 +464,35 @@ class TestBatchedSearch:
         for at, (m, K) in ((7, (15, 15)), (50, (40, 30)), (90, (20, 25))):
             disparity.insert(at, (m, 1024, K, CS))
             baseline.insert(at, (m, 1024, K))
-        new, old = bounds_mod.maximize_bounds(disparity, baseline)
-        assert sum(not r.feasible for r in new) == 3
+        ends = ((40, 1), (700, 1), (2400, 1), (900, 60), (1500, 60), (2999, 60))
+        for at, (m, K) in enumerate(ends):
+            disparity.insert(20 * at, (m, 2048, K, budgets[at % len(budgets)]))
         alone = [disparity_bound(*q) for q in disparity] + [baseline_bound(*q) for q in baseline]
-        for got, want in zip(new + old, alone):
-            assert got == want
-            assert np.signbit(got.log_value) == np.signbit(want.log_value)
+        for terms in (bounds_mod._TERMS, 5 * 17):
+            monkeypatch.setattr(bounds_mod, "_TERMS", terms)
+            new, old = bounds_mod.maximize_bounds(disparity, baseline)
+            assert sum(not r.feasible for r in new) == 3
+            for got, want in zip(new + old, alone):
+                assert got == want
+                assert np.signbit(got.log_value) == np.signbit(want.log_value)
+        rows = [q[2] for q, r in zip(disparity, new) if r.feasible]
+        rows += [1 for r in old if r.feasible]
+        for k, count in Counter(rows).items():
+            assert -(-count // max(1, terms // (k * 17))) >= min(3, count)
+
+    def test_search_memory_is_bounded(self):
+        # 5,878 queries; one points-by-rows-by-eps buffer for the whole
+        # batch peaked at 74 MiB, the term budget keeps it near 17.5 MiB
+        queries = [(m, 1024, 60) for m in range(61, 3000)]
+        # a first call's lazy imports are not part of the search's peak
+        bounds_mod.maximize_bounds([(500, 1024, 15, CS)], [(500, 1024, 15)])
+        tracemalloc.start()
+        try:
+            bounds_mod.maximize_bounds([(*q, CS) for q in queries], queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, peak / 2**20
 
     def test_empty_and_one_sided_batches(self):
         assert bounds_mod.maximize_bounds() == ([], [])

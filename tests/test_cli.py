@@ -526,6 +526,22 @@ class TestConfigKeysFromFlags:
         rows = _read(tmp_path / "out" / "phi_curves.csv").strip().split("\n")[1:]
         assert sorted({row.split(",")[0] for row in rows}) == ["alpha=1.5", "alpha=2"]
 
+    @pytest.mark.parametrize(
+        "subcommand, key, text",
+        [
+            ("bound", "m", "[bound]\nm =\nK = 15\n"),
+            ("plot-phi", "alpha", "[plot-phi]\nalpha = ,\n"),
+            ("simulate", "K", "[simulate]\nm = 24\nn = 64\nK =\ntrials = 4\nthreads = 1\n"),
+        ],
+        ids=["bound", "plot-phi", "simulate"],
+    )
+    def test_empty_comma_list(self, tmp_path, capsys, subcommand, key, text):
+        # an empty list would otherwise give header-only artifacts, a
+        # traceback or a late error
+        assert self._run(tmp_path, subcommand, text) == EXIT_USAGE
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() or not os.listdir(tmp_path / "out")
+
     def test_config_key_itself_unknown(self, tmp_path, capsys):
         assert self._run(tmp_path, "simulate", "[simulate]\nconfig = x\n") == EXIT_USAGE
         assert "unknown config key" in capsys.readouterr().err
