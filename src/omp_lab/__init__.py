@@ -6,6 +6,6 @@ Import from the modules (``omp_lab.omp``, ``omp_lab.montecarlo``, ...);
 the package itself exports only ``__version__``.
 """
 
-from ._version import __version__
-
 __all__ = ["__version__"]
+
+__version__ = "0.1.0"

@@ -290,12 +290,6 @@ def log_baseline_bound_at(
     return _log_bound_at(m, n, K, None, eps)
 
 
-def _clamp_exp(log_value: float) -> float:
-    if log_value == -np.inf:
-        return 0.0
-    return min(1.0, math.exp(min(log_value, 0.0)))
-
-
 def _maximize(
     upper: np.ndarray,
     log_f: Callable[[np.ndarray], np.ndarray],
@@ -362,7 +356,9 @@ def maximize_bounds(
                 lambda grid: _log_objective(m, scale, mills, weight, columns, grid, width - grid),
             )
             for i, log_value, eps in zip(part, maxima.tolist(), maximizers.tolist()):
-                results[i] = BoundResult(_clamp_exp(log_value), log_value, eps, family[i][0], True)
+                results[i] = BoundResult(
+                    math.exp(min(log_value, 0.0)), log_value, eps, family[i][0], True
+                )
     return results[: len(disparity)], results[len(disparity) :]
 
 

@@ -14,9 +14,10 @@ Subcommands:
 - ``report``: merge previously written experiment CSVs into combined
   SVG figures.
 
-``_COMMANDS`` declares every option once: its flag, which is also its
-config key, its type function, its default and its help line.  The
-parser and its ``--help``, the INI config file (one section per
+``_COMMANDS`` declares each subcommand once: its help line, its handler
+and every option, with the option's flag, which is also its config key,
+its type function, its default and its help line.  The parser and its
+``--help``, the dispatch, the INI config file (one section per
 subcommand, keys spelled like the flag with ``-`` or ``_`` in any case,
 repeatable flags as comma lists) and the defaults all come from it.
 Flags win over the file, the file over the default; the master seed's
@@ -34,9 +35,8 @@ import os
 import sys
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from . import __version__, output, svgplot
 from . import bounds as bounds_mod
-from . import output, svgplot
-from ._version import __version__
 from .montecarlo import (
     ExperimentConfig,
     TrialError,
@@ -208,50 +208,6 @@ _T_MAX = Option("t-max", _parse_positive_int, 50, help="largest subset size t")
 _FORMATS = Option("formats", _parse_formats,
                   help="comma list of artifact formats, from " + ", ".join(_ALL_FORMATS))
 
-# Every option of every subcommand but --config, which names the file.
-_COMMANDS: Dict[str, Tuple[str, Tuple[Option, ...]]] = {
-    "bound": ("evaluate the probability bounds", (
-        _OUT_DIR, _M, _M_SWEEP, _N,
-        Option("K", _parse_positive_int, help="sparsity level"),
-        _PHI._replace(default="cs"),
-        _ALPHA,
-        _FORMATS._replace(default=("csv",)),
-    )),
-    "simulate": ("run the Monte Carlo experiment", (
-        _OUT_DIR, _M, _M_SWEEP, _N,
-        Option("K", _parse_positive_int, (15, 30), repeat=True,
-               help="sparsity level; repeat for more values"),
-        Option("case", _parse_choice("case", _CASE_TOKENS), tuple(_CASE_TOKENS.values()),
-               repeat=True, dest="cases", metavar="{" + "|".join(sorted(_CASE_TOKENS)) + "}",
-               help="signal magnitudes; repeat for more cases"),
-        Option("trials", _parse_positive_int, 1000, help="trials per grid point"),
-        _SEED,
-        Option("threads", _parse_positive_int, _usable_cpus,
-               help="worker processes, each placed on its own CPU (default: the "
-               "number of CPUs in this process's affinity mask)"),
-        _FORMATS._replace(default=("csv", "json")),
-    )),
-    "validate-phi": ("empirical disparity check", (
-        _OUT_DIR, _T_MAX,
-        Option("trials", _parse_positive_int, 50000, help="Gaussian draws per size t"),
-        _SEED,
-        _PHI._replace(default="gauss"),
-        _ALPHA,
-        Option("threshold", _parse_probability, 0.995,
-               help="least pass rate at every size t; below it, exit 3"),
-        _FORMATS._replace(default=("csv",)),
-    )),
-    "plot-phi": ("tabulate/plot budget curves", (
-        _OUT_DIR,
-        Option("alpha", _parse_float, (1.0, 1.5, 2.0, 2.5), repeat=True, dest="alphas",
-               help="decay ratio of a curve, 1 or above; repeat for more curves"),
-        _T_MAX._replace(help="largest t of the curves"),
-        _FORMATS._replace(default=("csv", "svg")),
-    )),
-    "report": ("merge experiment CSVs into SVGs", (_OUT_DIR,)),
-}
-
-
 def _shown(value: Any) -> str:
     """A default as a config file would spell it."""
     if isinstance(value, tuple):
@@ -269,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"omp-lab {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, options) in _COMMANDS.items():
+    for name, (help_text, options, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="INI config file; flags override it")
         for opt in options:
@@ -542,7 +498,10 @@ def _cmd_report(ns: argparse.Namespace) -> int:
     if not ns.inputs:
         raise UsageError("report needs at least one experiment CSV")
     needed = {"m", "K", "case", "empirical_prob", "new_bound", "existing_bound"}
-    groups: Dict[Tuple[int, str], List[Tuple[int, float, float, float]]] = {}
+    # One curve per (K, case): its points by m, and the n of its rows
+    # where the CSV has that column.
+    groups: Dict[Tuple[int, str], Dict[int, Tuple[int, float, float, float]]] = {}
+    n_of: Dict[Tuple[int, str], int] = {}
     for path in ns.inputs:
         if not os.path.isfile(path):
             raise UsageError(f"input not found: {path}")
@@ -560,15 +519,24 @@ def _cmd_report(ns: argparse.Namespace) -> int:
                     case = row["case"]
                     if case in (".", "..") or any(c in case for c in ("/", os.sep, "\0")):
                         raise ValueError(f"case {case!r} is not a bare file-name label")
-                    groups.setdefault((int(row["K"]), case), []).append(
-                        (int(row["m"]), float(row["empirical_prob"]),
-                         float(row["new_bound"]), float(row["existing_bound"]))
-                    )
+                    K, m = int(row["K"]), int(row["m"])
+                    n = int(row["n"]) if "n" in row else None
+                    point = (m, float(row["empirical_prob"]),
+                             float(row["new_bound"]), float(row["existing_bound"]))
                 except (KeyError, ValueError) as err:
                     raise UsageError(f"bad row in {path}: {err}")
+                points = groups.setdefault((K, case), {})
+                if n is not None and n_of.setdefault((K, case), n) != n:
+                    raise UsageError(
+                        f"{path}: K={K}, case={case} mixes n={n_of[K, case]} and n={n}; "
+                        "merge one n per curve"
+                    )
+                if m in points:
+                    raise UsageError(f"{path}: K={K}, case={case} has m={m} twice")
+                points[m] = point
 
-    for (K, case_label), rows in sorted(groups.items()):
-        rows.sort(key=lambda r: r[0])
+    for (K, case_label), points in sorted(groups.items()):
+        rows = [points[m] for m in sorted(points)]
         name = f"combined_K{K}_{case_label}.svg"
         svg = _recovery_svg(f"Exact recovery, K={K}, case={case_label}", rows)
         output.atomic_write_text(_out_path(ns, name), svg)
@@ -576,12 +544,48 @@ def _cmd_report(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_DISPATCH = {
-    "bound": _cmd_bound,
-    "simulate": _cmd_simulate,
-    "validate-phi": _cmd_validate_phi,
-    "plot-phi": _cmd_plot_phi,
-    "report": _cmd_report,
+# (help, options, handler) of each subcommand; the options are all but
+# --config, which names the file.
+_COMMANDS: Dict[str, Tuple[str, Tuple[Option, ...], Callable[[argparse.Namespace], int]]] = {
+    "bound": ("evaluate the probability bounds", (
+        _OUT_DIR, _M, _M_SWEEP, _N,
+        Option("K", _parse_positive_int, help="sparsity level"),
+        _PHI._replace(default="cs"),
+        _ALPHA,
+        _FORMATS._replace(default=("csv",)),
+    ), _cmd_bound),
+    "simulate": ("run the Monte Carlo experiment", (
+        _OUT_DIR, _M, _M_SWEEP, _N,
+        Option("K", _parse_positive_int, (15, 30), repeat=True,
+               help="sparsity level; repeat for more values"),
+        Option("case", _parse_choice("case", _CASE_TOKENS), tuple(_CASE_TOKENS.values()),
+               repeat=True, dest="cases", metavar="{" + "|".join(sorted(_CASE_TOKENS)) + "}",
+               help="signal magnitudes; repeat for more cases"),
+        Option("trials", _parse_positive_int, 1000, help="trials per grid point"),
+        _SEED,
+        Option("threads", _parse_positive_int, _usable_cpus,
+               help="worker processes, each placed on its own CPU (default: the "
+               "number of CPUs in this process's affinity mask)"),
+        _FORMATS._replace(default=("csv", "json")),
+    ), _cmd_simulate),
+    "validate-phi": ("empirical disparity check", (
+        _OUT_DIR, _T_MAX,
+        Option("trials", _parse_positive_int, 50000, help="Gaussian draws per size t"),
+        _SEED,
+        _PHI._replace(default="gauss"),
+        _ALPHA,
+        Option("threshold", _parse_probability, 0.995,
+               help="least pass rate at every size t; below it, exit 3"),
+        _FORMATS._replace(default=("csv",)),
+    ), _cmd_validate_phi),
+    "plot-phi": ("tabulate/plot budget curves", (
+        _OUT_DIR,
+        Option("alpha", _parse_float, (1.0, 1.5, 2.0, 2.5), repeat=True, dest="alphas",
+               help="decay ratio of a curve, 1 or above; repeat for more curves"),
+        _T_MAX._replace(help="largest t of the curves"),
+        _FORMATS._replace(default=("csv", "svg")),
+    ), _cmd_plot_phi),
+    "report": ("merge experiment CSVs into SVGs", (_OUT_DIR,), _cmd_report),
 }
 
 
@@ -595,7 +599,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         _resolve_options(ns)
-        return _DISPATCH[ns.subcommand](ns)
+        return _COMMANDS[ns.subcommand][2](ns)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

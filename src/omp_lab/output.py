@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from ._version import __version__
+from . import __version__
 from .bounds import BoundResult
 from .montecarlo import SAMPLER, ExperimentResult
 from .omp import RECOVERY_TOL
@@ -69,23 +68,22 @@ class Table(NamedTuple):
 
 
 def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """Every JSON document: the package version, then ``doc``'s keys."""
+    return json.dumps({"version": __version__, **doc}, indent=2) + "\n"
 
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write a file via a temp sibling + rename, so readers never see a
-    partial file and a crash cannot corrupt an existing one."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
-    )
+    partial file and a crash cannot corrupt an existing one.  The file
+    gets the mode ``open(path, "w")`` would give it: 0o666 less the umask,
+    which the kernel applies."""
+    tmp_path = f"{path}.{os.urandom(8).hex()}.tmp"
+    # O_BINARY (Windows only) keeps the C runtime from writing "\r\n".
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp_path, flags, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
-        # mkstemp creates the file 0600; give it the mode open() would.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp_path, 0o666 & ~umask)
         os.replace(tmp_path, path)
     except BaseException:
         try:
@@ -129,7 +127,6 @@ def experiment_json(result: ExperimentResult) -> str:
     config = result.config
     return _json_text(
         {
-            "version": __version__,
             "config": {
                 "n": config.n,
                 "m_values": list(config.m_values),
@@ -175,7 +172,7 @@ def bound_rows_csv(rows: Sequence[BoundRow]) -> str:
 
 
 def bound_rows_json(rows: Sequence[BoundRow]) -> str:
-    return _json_text({"version": __version__, "rows": _bound_table(rows).records()})
+    return _json_text({"rows": _bound_table(rows).records()})
 
 
 def _phi_validation_table(report: PhiValidationReport) -> Table:
@@ -198,7 +195,6 @@ def phi_validation_json(
 ) -> str:
     return _json_text(
         {
-            "version": __version__,
             "phi": report.phi.label(),
             "t_max": t_max,
             "trials": report.trials,
@@ -227,7 +223,6 @@ def phi_curves_json(curves: Sequence[Curve]) -> str:
     """One object per curve, keeping the t and phi arrays whole."""
     return _json_text(
         {
-            "version": __version__,
             "curves": [
                 {"label": label, "t": list(ts), "phi": list(vals)}
                 for label, ts, vals in curves

@@ -10,7 +10,6 @@ deterministic for identical input.
 
 from __future__ import annotations
 
-import html
 import math
 from typing import Optional, Sequence, Tuple
 
@@ -74,6 +73,11 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
+def _escape(text: str) -> str:
+    """``text`` as SVG character data: ``&``, ``<`` and ``>`` escaped."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _fmt_tick(value: float) -> str:
     return f"{value:g}"
 
@@ -131,7 +135,7 @@ def line_plot(
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
         f'<text x="{_fmt(_WIDTH / 2)}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="15">'
-        f"{html.escape(title, quote=False)}</text>",
+        f"{_escape(title)}</text>",
     ]
 
     # Tick marks, grid lines and numeric labels.
@@ -171,13 +175,13 @@ def line_plot(
     parts.append(
         f'<text x="{_fmt(_MARGIN_LEFT + plot_w / 2)}" y="{_fmt(_HEIGHT - 14)}" '
         f'text-anchor="middle" font-family="sans-serif" font-size="13">'
-        f"{html.escape(x_label, quote=False)}</text>"
+        f"{_escape(x_label)}</text>"
     )
     parts.append(
         f'<text x="18" y="{_fmt(_MARGIN_TOP + plot_h / 2)}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
         f'transform="rotate(-90 18 {_fmt(_MARGIN_TOP + plot_h / 2)})">'
-        f"{html.escape(y_label, quote=False)}</text>"
+        f"{_escape(y_label)}</text>"
     )
 
     # The data: exactly one polyline per series, even when a series has
@@ -204,7 +208,7 @@ def line_plot(
         parts.append(
             f'<text x="{_fmt(legend_x + 22)}" y="{_fmt(y0 + 5)}" '
             f'font-family="sans-serif" font-size="11">'
-            f"{html.escape(label, quote=False)}</text>"
+            f"{_escape(label)}</text>"
         )
 
     parts.append("</svg>")

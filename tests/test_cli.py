@@ -385,11 +385,42 @@ class TestReportCommand:
         assert f"bad row in {bad}" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
 
+    def _results_csv(self, out_dir, n):
+        args = [
+            "simulate", "--m", "40", "--m", "60", "--n", str(n), "--K", "5",
+            "--case", "flat", "--trials", "20", "--threads", "1", "--formats", "csv",
+            "--out-dir", str(out_dir),
+        ]
+        assert main(args) == EXIT_OK
+        return str(out_dir / "results.csv")
+
+    def test_rejects_curves_of_two_n(self, tmp_path, capsys):
+        inputs = [self._results_csv(tmp_path / "a", 128), self._results_csv(tmp_path / "b", 256)]
+        capsys.readouterr()
+        out = tmp_path / "merged"
+        assert main(["report", *inputs, "--out-dir", str(out)]) == EXIT_USAGE
+        assert "K=5, case=flat mixes n=128 and n=256" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rejects_a_file_given_twice(self, tmp_path, capsys):
+        results = self._results_csv(tmp_path / "a", 128)
+        capsys.readouterr()
+        out = tmp_path / "merged"
+        assert main(["report", results, results, "--out-dir", str(out)]) == EXIT_USAGE
+        assert "K=5, case=flat has m=40 twice" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTopLevel:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "omp-lab" in capsys.readouterr().out
+
+    def test_version_matches_pyproject(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+        with open(path, "rb") as handle:
+            assert tomllib.load(handle)["project"]["version"] == __version__
 
     def test_runs_as_module(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -415,11 +446,12 @@ class TestTopLevel:
         # does the CLI pull in the stdlib's XML, network or statistics
         # stacks, or the process-pool stack: workers are plain forks.  The
         # config parser and the CSV reader load only where --config or
-        # report needs them, and nothing hashes.
+        # report needs them, nothing hashes, and the plotter escapes
+        # without html's entity table.
         forbidden = (
             "scipy", "xml.sax", "urllib.request", "http", "ssl", "email",
             "statistics", "concurrent", "logging", "multiprocessing",
-            "configparser", "csv", "hashlib",
+            "configparser", "csv", "hashlib", "html",
         )
         code = (
             "import json, sys, omp_lab.cli; print(json.dumps(sorted("
@@ -500,7 +532,11 @@ class TestConfigKeysFromFlags:
 
     def _namespace(self, monkeypatch, argv):
         seen = []
-        monkeypatch.setitem(cli._DISPATCH, argv[0], lambda ns: seen.append(ns) or EXIT_OK)
+        help_text, options, _ = cli._COMMANDS[argv[0]]
+        monkeypatch.setitem(
+            cli._COMMANDS, argv[0],
+            (help_text, options, lambda ns: seen.append(ns) or EXIT_OK),
+        )
         assert main(argv) == EXIT_OK
         return {k: v for k, v in vars(seen[0]).items() if k != "config"}
 
@@ -577,7 +613,7 @@ class TestConfigKeysFromFlags:
 
     @pytest.mark.parametrize(
         "subcommand, option",
-        [(name, opt) for name, (_, options) in cli._COMMANDS.items() for opt in options],
+        [(name, opt) for name, (_, options, _) in cli._COMMANDS.items() for opt in options],
         ids=lambda v: v if isinstance(v, str) else v.flag,
     )
     def test_flag_and_config_key_agree(self, tmp_path, monkeypatch, subcommand, option):

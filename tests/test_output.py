@@ -1,5 +1,6 @@
 """Serialization and the internal SVG plotter."""
 
+import html
 import json
 import os
 import xml.etree.ElementTree as ET
@@ -7,8 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from omp_lab import output, svgplot
-from omp_lab._version import __version__
+from omp_lab import __version__, output, svgplot
 from omp_lab.bounds import baseline_bound, disparity_bound
 from omp_lab.montecarlo import ExperimentConfig, run_experiment
 from omp_lab.phi import PhiFunction, validate_phi_empirical
@@ -55,6 +55,16 @@ class TestAtomicWrite:
         finally:
             os.umask(old)
         assert target.stat().st_mode & 0o777 == 0o644
+
+    def test_leaves_the_umask_alone(self, tmp_path, monkeypatch):
+        # reading the umask means setting it, which races with any thread
+        # that creates a file meanwhile; the kernel applies it instead
+        def umask(mask):
+            raise AssertionError("atomic_write_text changed the umask")
+
+        monkeypatch.setattr(os, "umask", umask)
+        output.atomic_write_text(str(tmp_path / "out.txt"), "text\n")
+        assert os.listdir(tmp_path) == ["out.txt"]
 
 
 class TestExperimentSerialization:
@@ -195,12 +205,13 @@ class TestSvgPlot:
         ET.fromstring(text)  # still well formed
 
     def test_escapes_markup_in_labels(self):
-        series = [("a<b&c", [1.0], [1.0])]
+        series = [("a<b&c", [1.0], [1.0]), ("&<>\"'", [1.0], [2.0])]
         text = svgplot.line_plot(series, "x<y", "x", "y")
         root = ET.fromstring(text)
         ns = "{http://www.w3.org/2000/svg}"
         texts = [t.text for t in root.findall(f".//{ns}text")]
         assert "a<b&c" in texts
+        assert f">{html.escape(series[1][0], quote=False)}</text>" in text
 
     def test_validation(self):
         with pytest.raises(ValueError):
