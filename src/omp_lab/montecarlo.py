@@ -127,10 +127,11 @@ SAMPLER = "reduced-bartlett"
 _Z95 = 1.9599639845400536
 
 # Byte budget of one task's stack of K-by-K support blocks.  It sets a
-# trial count, not the task's memory: the support path's basis, factor
-# and residuals are each as large again.  Each trial index keeps its
-# generator, not its normals: its Z is drawn only when the pursuit
-# reads it (a 252-trial task at K = 30 peaks near 8 MiB).
+# trial count, not the task's memory: the support path holds the stack,
+# its basis and its residuals, each as large, and an eighth of its fit
+# factor at once.  Each trial index keeps its generator, not its
+# normals: its Z is drawn only when the pursuit reads it, into one
+# buffer (a 252-row task at K = 30 peaks near 6 MiB).
 _STACK_BYTES = 2 * 1024 * 1024
 
 # Most trials per task.  Larger tasks decide a trial no faster, and
@@ -254,43 +255,51 @@ def _stack_size(K: int) -> int:
     return max(1, min(_MAX_STACK, _STACK_BYTES // (8 * K * K)))
 
 
-def _draw_trials(
-    n: int,
-    K: int,
-    case: SignalCase,
-    master_seed: int,
-    ms: Sequence[int],
-    keys: Sequence[int],
-) -> Tuple[np.ndarray, np.ndarray, Iterator[np.ndarray]]:
-    """Draw the reduced trials of trial keys ``keys`` at every m of ``ms``.
+def _draw_nonzeros(
+    K: int, case: SignalCase, master_seed: int, keys: Sequence[int]
+) -> np.ndarray:
+    """The T-by-K nonzeros ``x_S`` of trial keys ``keys``: the case's
+    :func:`~omp_lab.signals.signal_nonzeros` from each key's
+    ``Purpose.SIGNAL`` stream, so equal to the dense trial's."""
+    values = np.empty((len(keys), K))
+    for t, key in enumerate(keys):
+        values[t] = signal_nonzeros(K, case, StreamKey(master_seed, key, Purpose.SIGNAL))
+    return values
 
-    Returns the T-by-M stack of K-by-K factors ``R`` (``[t, j]`` is key
-    ``keys[t]`` at ``m = ms[j]``), the T-by-K nonzeros ``x_S`` (the
-    case's :func:`~omp_lab.signals.signal_nonzeros`, from the key's
-    ``Purpose.SIGNAL`` stream, so equal to the dense trial's), and an
-    iterator that draws each key's (n-K)-by-K standard normal ``Z`` only
-    when it is reached.  The ``Purpose.MATRIX`` stream of
-    ``StreamKey(master_seed, k)`` yields, at each m of ``ms`` in turn,
-    ``R``'s strictly upper part (N(0, 1/m), from a K-by-K normal draw)
-    and then its diagonal ``sqrt(chi2_{m-i} / m)`` for ``i = 0..K-1``;
-    after the last m, ``Z``.
+
+def _draw_factors(
+    K: int, ms: Sequence[int], streams: Sequence[np.random.Generator]
+) -> np.ndarray:
+    """The T-by-M stack of K-by-K factors ``R``: ``[t, j]`` is drawn from
+    ``streams[t]`` (a key's ``Purpose.MATRIX`` stream) at ``m = ms[j]``.
+
+    Each stream yields, at each m of ``ms`` in turn, ``R``'s strictly
+    upper part (N(0, 1/m), from a K-by-K normal draw) and then its
+    diagonal ``sqrt(chi2_{m-i} / m)`` for ``i = 0..K-1``.
     """
     diagonal = np.arange(K)
     lower = np.tril_indices(K, -1)
-    support = np.empty((len(keys), len(ms), K, K))
-    values = np.empty((len(keys), K))
-    streams = []
-    for t, key in enumerate(keys):
-        values[t] = signal_nonzeros(K, case, StreamKey(master_seed, key, Purpose.SIGNAL))
-        stream = StreamKey(master_seed, key, Purpose.MATRIX).generator()
+    support = np.empty((len(streams), len(ms), K, K))
+    for t, stream in enumerate(streams):
         for j, m in enumerate(ms):
             R = support[t, j]
             stream.standard_normal(out=R)
             R *= 1.0 / math.sqrt(m)
             R[lower] = 0.0
             R[diagonal, diagonal] = np.sqrt(stream.chisquare(m - diagonal) / m)
-        streams.append(stream)
-    return support, values, (stream.standard_normal((n - K, K)) for stream in streams)
+    return support
+
+
+def _draw_normals(
+    n: int, K: int, streams: Sequence[np.random.Generator]
+) -> Iterator[np.ndarray]:
+    """Each stream's (n-K)-by-K standard normal ``Z``, drawn after the
+    stream's factors and only when it is reached.  Every ``Z`` is drawn
+    into one buffer, so a block is valid only until the next is drawn."""
+    Z = np.empty((n - K, K))
+    for stream in streams:
+        stream.standard_normal(out=Z)
+        yield Z
 
 
 def _count_successes(
@@ -312,9 +321,16 @@ def _count_successes(
     """
     first_key = row * trials + first_trial
     keys = range(first_key, first_key + count)
-    support, values, normals = _draw_trials(n, K, case, master_seed, ms, keys)
+    streams = [StreamKey(master_seed, key, Purpose.MATRIX).generator() for key in keys]
     try:
-        recovered = recovers_stack(support, values, normals, np.sqrt(ms))
+        # The factor stack is passed on, not kept, so recovers_stack
+        # frees it once the support path returns.
+        recovered = recovers_stack(
+            _draw_factors(K, ms, streams),
+            _draw_nonzeros(K, case, master_seed, keys),
+            _draw_normals(n, K, streams),
+            np.sqrt(ms),
+        )
     except DegenerateColumnError as err:
         s, j = divmod(err.row, len(ms))
         raise TrialError(ms[j], K, case, first_trial + s, err) from err

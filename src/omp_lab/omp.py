@@ -51,6 +51,10 @@ _DEGENERATE_TOL = 1e-12
 # Largest l2 distance from the truth that still counts as exact recovery.
 RECOVERY_TOL = 1e-10
 
+# The support path solves its K-column fits in this many slices of rows,
+# so only that fraction of the fit factor is held at once.
+_FIT_SLICES = 8
+
 
 class DegenerateColumnError(RuntimeError):
     """Selected column is (numerically) in the span of the previous ones.
@@ -72,7 +76,7 @@ class DegenerateColumnError(RuntimeError):
         return type(self), (self.iteration, self.index, self.row)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OmpResult:
     """Outcome of one pursuit run.
 
@@ -272,6 +276,12 @@ def recovers_stack(
     the path, one block per trial index in order, so its blocks may
     share one buffer; each product goes to one reused buffer.
 
+    The path holds three S-by-m-by-K stacks at once, for ``S = T * M``:
+    ``support``, the basis and the residuals.  Only the residuals are
+    kept for the products: this function drops its references to
+    ``support`` when the path returns, so a caller that passes the stack
+    without keeping it frees it there.
+
     Raises
     ------
     ValueError
@@ -290,6 +300,7 @@ def recovers_stack(
         raise ValueError(f"need T-by-M-by-m-by-K, T-by-K and M shapes, got {shapes}")
     T, M, m, K = A.shape
     recovered, residuals, wins = _support_path(A.reshape(-1, m, K), np.repeat(X, M, 0))
+    del support, A
     recovered = recovered.reshape(T, M)
     residuals = residuals.reshape(T, M, m, K)
     limits = wins.reshape(T, M, K) * divisor[:, None]
@@ -318,7 +329,10 @@ def _support_path(
     K-column fit, the solution ``z`` of ``(Q A) z = Q y``, lies within
     ``RECOVERY_TOL`` of its values, the residuals ``U`` (S-by-m-by-K;
     column ``k`` of ``U[s]`` is the residual that iteration ``k``
-    correlates), and the winning correlations ``c`` (S-by-K).
+    correlates), and the winning correlations ``c`` (S-by-K).  The fit
+    is solved a slice of rows at a time, so ``Q A`` is never held whole
+    beside ``A``, the basis and the residuals; each row's doubles are
+    those of one whole-stack solve.
     """
     S, m, K = A.shape
     if not 1 <= K <= m:
@@ -356,5 +370,10 @@ def _support_path(
 
     # All K columns are picked, so basis @ A is their R factor with its
     # columns in index order.
-    fit = np.linalg.solve(np.matmul(basis, A), np.matmul(basis, y))[:, :, 0]
+    fit = np.empty((S, K))
+    step = -(-S // _FIT_SLICES)
+    for lo in range(0, S, step):
+        part = slice(lo, lo + step)
+        Q = basis[part]
+        fit[part] = np.linalg.solve(np.matmul(Q, A[part]), np.matmul(Q, y[part]))[:, :, 0]
     return np.linalg.norm(fit - X, axis=1) <= RECOVERY_TOL, residuals, wins

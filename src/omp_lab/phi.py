@@ -53,6 +53,9 @@ _GAUSS_LINEAR_MAX = 24
 _GAUSS_PLATEAU_MAX = 29
 _GAUSS_SLOPE = 0.8
 
+# Bytes of normals drawn at once by validate_phi_empirical.
+_DRAW_BYTES = 1 << 20
+
 
 def _check_size(t: object) -> int:
     t = operator.index(t)
@@ -124,7 +127,7 @@ class PhiFunction:
         return "gauss"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhiValidationReport:
     """Per-size outcome of an empirical disparity-condition check.
 
@@ -163,6 +166,9 @@ def validate_phi_empirical(
     scale-free, so any sigma would give the same counts.  Each size has
     its own substream derived from ``key``, so the per-size counts do
     not depend on ``t_max`` and reruns reproduce byte-identical counts.
+    A size's vectors are drawn from its stream in slices of about 1 MiB,
+    so memory stays bounded whatever ``trials``; the counts are those of
+    one ``trials``-by-``t`` draw.
     """
     t_max = _check_size(t_max)
     if trials < 1:
@@ -170,11 +176,13 @@ def validate_phi_empirical(
     base = key.with_purpose(Purpose.PHI_VALIDATION)
     sizes = np.arange(1, t_max + 1)
     successes = np.zeros(t_max, dtype=np.int64)
-    for i, t in enumerate(sizes):
-        stream = base.generator(int(t))
-        draws = stream.standard_normal((trials, int(t)))
-        l1 = np.abs(draws).sum(axis=1)
-        sq = np.einsum("ij,ij->i", draws, draws)
-        ratios = l1 * l1 / sq
-        successes[i] = int(np.count_nonzero(ratios <= phi(int(t))))
+    for i, t in enumerate(sizes.tolist()):
+        stream = base.generator(t)
+        budget = phi(t)
+        step = max(1, _DRAW_BYTES // (8 * t))
+        for done in range(0, trials, step):
+            draws = stream.standard_normal((min(step, trials - done), t))
+            l1 = np.abs(draws).sum(axis=1)
+            sq = np.einsum("ij,ij->i", draws, draws)
+            successes[i] += np.count_nonzero(l1 * l1 / sq <= budget)
     return PhiValidationReport(phi=phi, sizes=sizes, trials=trials, successes=successes)

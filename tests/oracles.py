@@ -2,7 +2,8 @@
 
 ``brute_force_best_support`` is the exhaustive-search oracle for OMP on
 small instances; ``vector_disparity_ratio`` is the squared l1/l2 ratio
-that a disparity budget phi(t) caps.
+that a disparity budget phi(t) caps; ``phi_successes_one_shot`` counts
+what ``validate_phi_empirical`` counts, from one draw per size.
 """
 
 import itertools
@@ -11,7 +12,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from omp_lab.signals import SensingMatrix
+from omp_lab.phi import PhiFunction
+from omp_lab.signals import Purpose, SensingMatrix, StreamKey
 
 # Ceiling on the number of candidate supports the exhaustive search will
 # enumerate before refusing.
@@ -83,3 +85,18 @@ def vector_disparity_ratio(values: Sequence[float]) -> float:
         raise ValueError("ratio undefined for the zero vector")
     l1 = float(np.abs(v).sum())
     return l1 * l1 / sq
+
+
+def phi_successes_one_shot(
+    phi: PhiFunction, t_max: int, trials: int, key: StreamKey
+) -> np.ndarray:
+    """Per-size success counts of ``validate_phi_empirical``, each size's
+    ``trials``-by-``t`` normals drawn at once from the size's substream."""
+    base = key.with_purpose(Purpose.PHI_VALIDATION)
+    counts = []
+    for t in range(1, t_max + 1):
+        draws = base.generator(t).standard_normal((trials, t))
+        l1 = np.abs(draws).sum(axis=1)
+        sq = np.einsum("ij,ij->i", draws, draws)
+        counts.append(np.count_nonzero(l1 * l1 / sq <= phi(t)))
+    return np.array(counts, dtype=np.int64)

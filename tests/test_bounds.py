@@ -32,7 +32,7 @@ from omp_lab.bounds import (
 )
 from omp_lab.omp import _support_path
 from omp_lab.phi import PhiFunction
-from omp_lab.signals import SignalCase
+from omp_lab.signals import Purpose, SignalCase, StreamKey
 
 CS = PhiFunction.cauchy_schwarz()
 D11 = PhiFunction.strongly_decaying(1.1)
@@ -433,8 +433,9 @@ class TestDerivation:
         # sqrt(phi(K - k)).  Gaussian nonzeros are left out: for them
         # phi holds only with high probability.
         m, K, trials = 200, 30, 400
-        support, values, _ = montecarlo._draw_trials(1024, K, case, 4, (m,), range(trials))
-        R = support[:, 0]
+        streams = [StreamKey(4, key, Purpose.MATRIX).generator() for key in range(trials)]
+        R = montecarlo._draw_factors(K, (m,), streams)[:, 0]
+        values = montecarlo._draw_nonzeros(K, case, 4, range(trials))
         _, residuals, wins = _support_path(R, values)
         factor = wins / np.linalg.norm(residuals, axis=1)
         sigma_min = np.linalg.svd(R, compute_uv=False)[:, -1]

@@ -336,10 +336,6 @@ class TestReportCommand:
     def test_merges_two_csvs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(_sim_args(a)) == EXIT_OK
-        args = _sim_args(b)
-        args[args.index("--m") + 1] = "56"
-        del args[args.index("--m", args.index("--m") + 1) + 1]  # keep single m
-        # simpler: rebuild with one m value
         args = [
             "simulate", "--m", "56", "--n", "64", "--K", "3", "--case", "flat",
             "--trials", "8", "--seed", "11", "--threads", "1",

@@ -163,10 +163,21 @@ def _dense_reduction(A, signal):
     return B[:, :K], B[:, K:].T, signal.values[support], perm
 
 
+def _draw_trials(n, K, case, seed, ms, keys):
+    """The R stack, nonzeros and Z iterator of trial keys ``keys`` at
+    every m of ``ms``, drawn as ``_count_successes`` draws them."""
+    streams = [StreamKey(seed, key, Purpose.MATRIX).generator() for key in keys]
+    return (
+        montecarlo._draw_factors(K, ms, streams),
+        montecarlo._draw_nonzeros(K, case, seed, keys),
+        montecarlo._draw_normals(n, K, streams),
+    )
+
+
 def _one_trial(m, n, K, case, seed, key):
     """(R, G, x_S) of trial key ``key`` at one m, as a task draws it, with
     ``G = Z * (1/sqrt(m))``."""
-    support, values, normals = montecarlo._draw_trials(n, K, case, seed, (m,), [key])
+    support, values, normals = _draw_trials(n, K, case, seed, (m,), [key])
     return support[0, 0], next(normals) * (1.0 / math.sqrt(m)), values[0]
 
 
@@ -204,7 +215,7 @@ class TestReducedTrial:
         # chi-square with m - i + 1 degrees of freedom would miss by
         # 1/m = 5 SE here
         m, n, K, draws = 40, 48, 8, 2000
-        Rs, _, normals = montecarlo._draw_trials(
+        Rs, _, normals = _draw_trials(
             n, K, SignalCase.flat(), 1, (m,), range(draws)
         )
         Rs = Rs[:, 0]
@@ -267,7 +278,7 @@ class TestReducedTrial:
         ms, keys = (50, 60, 70), (40, 41)
 
         def draw(keys):
-            support, values, normals = montecarlo._draw_trials(128, 6, case, 8, ms, keys)
+            support, values, normals = _draw_trials(128, 6, case, 8, ms, keys)
             return support, values, np.array([Z.copy() for Z in normals])
 
         both = draw(keys)
@@ -347,19 +358,27 @@ class TestReducedTrial:
             assert 8 * K * K * montecarlo._stack_size(K) <= 2 * 1024 * 1024
 
     def test_task_memory_peak(self):
-        # one task of a 9-m row at K = 30, n = 1024 (28 trial indices, 252
-        # stack rows) peaks near 7.7 MiB; forming one (n-K)-by-(9 K)
-        # product per trial index instead reaches 9.7 to 10 MiB
-        ms = tuple(range(100, 301, 25))
+        # one task of a row at K = 30, n = 1024, at each benchmark
+        # workload's m values: 28 trial indices at 9 m (252 stack rows,
+        # each of its stacks 1.73 MiB) peak near 6.0 MiB, and 16 at 4 m
+        # (64 rows) near 1.5 MiB.  Holding the whole fit factor beside
+        # the support stack, the basis and the residuals, and one Z
+        # block beside the next, took 7.6 and 1.9 MiB.
         # a first call's lazy imports are not part of a task's peak
         montecarlo._count_successes(64, 3, SignalCase.flat(), 3, 1, (10,), 0, 0, 1)
-        tracemalloc.start()
-        try:
-            montecarlo._count_successes(1024, 30, SignalCase.flat(), 3, 28, ms, 0, 0, 28)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8.5 * 2**20, peak / 2**20
+        for ms, count, bound_mib in (
+            (tuple(range(100, 301, 25)), 28, 6.5),
+            ((700, 800, 900, 1000), 16, 1.75),
+        ):
+            tracemalloc.start()
+            try:
+                montecarlo._count_successes(
+                    1024, 30, SignalCase.flat(), 3, count, ms, 0, 0, count
+                )
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound_mib * 2**20, (count, peak / 2**20)
 
     def test_task_across_a_point_boundary(self):
         # trials 2..7 of row 1, 10 trials per point, at m = 24, 48 and 72
@@ -373,7 +392,7 @@ class TestReducedTrial:
         )
         want = [0, 0, 0]
         for t in range(first, first + count):
-            support, values, normals = montecarlo._draw_trials(
+            support, values, normals = _draw_trials(
                 EQ_N, EQ_K, case, 6, ms, [row * trials + t]
             )
             Z = next(normals)

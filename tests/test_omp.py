@@ -202,6 +202,16 @@ class TestRunOmp:
             corr = abs(result.residual @ mat.entries[:, j])
             assert corr <= 1e-8 * np.linalg.norm(y)
 
+    def test_results_compare_by_identity(self):
+        # a result holds arrays, so == is identity and hash() works,
+        # where value equality would raise on the arrays' truth value
+        A = SensingMatrix(np.eye(4))
+        y = np.array([0.0, 2.0, 0.0, 1.0])
+        result, again = run_omp(A, y, 2), run_omp(A, y, 2)
+        assert result == result and result != again
+        assert hash(result) != hash(again)
+        assert len({result, again}) == 2
+
 
 class TestCheckExactRecovery:
     def _signal(self):
@@ -388,6 +398,28 @@ class TestRecoversStack:
         ]
         assert recovers_stack(support, values, blocks, divisor).tolist() == alone
         assert 0 < np.sum(alone) < T * M
+
+    def test_blocks_may_share_one_buffer(self):
+        # off refills one buffer for each trial index, as the Monte Carlo
+        # draw does: every row is decided as with fresh blocks, which
+        # reading all blocks before deciding (every row seeing the last
+        # block) would not do
+        rng = np.random.default_rng(5)
+        T, M, m, K, n_off = 8, 3, 12, 4, 20
+        support = rng.standard_normal((T, M, m, K))
+        values = rng.standard_normal((T, K))
+        blocks = rng.standard_normal((T, n_off, m))
+        divisor = np.sqrt([2.0, 3.0, 5.0])
+
+        def refilled():
+            buffer = np.empty((n_off, m))
+            for block in blocks:
+                buffer[...] = block
+                yield buffer
+
+        fresh = recovers_stack(support, values, list(blocks), divisor).tolist()
+        assert recovers_stack(support, values, refilled(), divisor).tolist() == fresh
+        assert recovers_stack(support, values, [blocks[-1]] * T, divisor).tolist() != fresh
 
     def test_shape_validation(self):
         support = np.stack([np.eye(4, 2)] * 2)[:, None]

@@ -1,14 +1,17 @@
 """Disparity functions: closed forms, piecewise budget, empirical check."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omp_lab import phi as phi_mod
 from omp_lab.phi import PhiFunction, validate_phi_empirical
 from omp_lab.signals import StreamKey
 
-from oracles import vector_disparity_ratio
+from oracles import phi_successes_one_shot, vector_disparity_ratio
 
 # Frozen 60-digit reference evaluations of the geometric budget
 # (a**t - 1)(a + 1) / ((a**t + 1)(a - 1)).
@@ -213,6 +216,40 @@ class TestValidatePhiEmpirical:
         assert report.min_probability == report.probabilities.min()
         worst = report.worst_size()
         assert report.probabilities[worst - 1] == report.min_probability
+
+    def test_sliced_draw_equals_one_shot(self):
+        # a size's trials are drawn in slices of about 1 MiB; 2^17 + 9
+        # trials leave a partial last slice at every size from 1 to 3.
+        # The decay budget (2.71 at t = 3) fails some draws of size 2
+        # and 3, so the counts can tell draws apart.
+        phi = PhiFunction.strongly_decaying(1.5)
+        trials = 2**17 + 9
+        assert all(trials % (phi_mod._DRAW_BYTES // (8 * t)) for t in (1, 2, 3))
+        report = validate_phi_empirical(phi, 3, trials, StreamKey(4))
+        want = phi_successes_one_shot(phi, 3, trials, StreamKey(4))
+        assert report.successes.tolist() == want.tolist()
+        assert 0 < want[1] < trials and 0 < want[2] < trials
+
+    def test_memory_bounded_in_trials(self):
+        # one 40,000-by-30 draw alone is 9.2 MiB, and the call peaked
+        # near 19.5 MiB drawing it whole; in slices of about 1 MiB it
+        # peaks near 2.9 MiB
+        phi = PhiFunction.gaussian_empirical()
+        validate_phi_empirical(phi, 2, 10, StreamKey(1))
+        tracemalloc.start()
+        try:
+            validate_phi_empirical(phi, 30, 40_000, StreamKey(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak / 2**20
+
+    def test_report_compares_by_identity(self):
+        report = validate_phi_empirical(PhiFunction.cauchy_schwarz(), 3, 10, StreamKey(1))
+        again = validate_phi_empirical(PhiFunction.cauchy_schwarz(), 3, 10, StreamKey(1))
+        assert report == report and report != again
+        assert hash(report) != hash(again)
+        assert len({report, again}) == 2
 
     def test_validation_errors(self):
         phi = PhiFunction.gaussian_empirical()
