@@ -247,7 +247,8 @@ def _resolve_options(ns: argparse.Namespace) -> None:
     """Set every option the flags left unset: from the subcommand's
     section of the ``--config`` file, converted and checked by the
     option's type (a repeatable option's value is a comma list), else
-    from the option's default."""
+    from the option's default.  A repeatable option, from flags or file,
+    keeps the first occurrence of each value."""
     options = {opt.flag.lower(): opt for opt in _COMMANDS[ns.subcommand][1]}
     if ns.config is not None:
         if not os.path.isfile(ns.config):
@@ -275,31 +276,29 @@ def _resolve_options(ns: argparse.Namespace) -> None:
                 raise UsageError(f"bad config value for {key!r}: {err}")
             setattr(ns, opt.attr, values if opt.repeat else values[0])
     for opt in options.values():
-        if getattr(ns, opt.attr) is None:
-            setattr(ns, opt.attr, opt.default() if callable(opt.default) else opt.default)
+        value = getattr(ns, opt.attr)
+        if value is None:
+            value = opt.default() if callable(opt.default) else opt.default
+        elif opt.repeat:
+            value = list(dict.fromkeys(value))
+        setattr(ns, opt.attr, value)
 
 
 def _resolve_m_values(ns: argparse.Namespace) -> List[int]:
+    """The m values in increasing order, each once."""
     if ns.m is not None and ns.m_sweep is not None:
         raise UsageError("give either --m or --m-sweep, not both")
     m_values = ns.m if ns.m_sweep is None else ns.m_sweep
     if m_values is None:
         raise UsageError("no m values given (use --m or --m-sweep)")
-    return m_values
+    return sorted(m_values)
 
 
 def _resolve_phi(variant: str, alpha: Optional[float]) -> PhiFunction:
-    if variant == "decay":
-        if alpha is None:
-            raise UsageError("--phi decay requires --alpha")
-        if not alpha > 1.0:
-            raise UsageError(f"--alpha must exceed 1, got {alpha:g}")
-        return PhiFunction.strongly_decaying(alpha)
-    if alpha is not None:
-        raise UsageError(f"--alpha only applies to --phi decay, not {variant!r}")
-    if variant == "cs":
-        return PhiFunction.cauchy_schwarz()
-    return PhiFunction.gaussian_empirical()
+    try:
+        return PhiFunction(variant, alpha)
+    except ValueError as err:
+        raise UsageError(str(err))
 
 
 def _out_path(ns: argparse.Namespace, name: str) -> str:
@@ -378,13 +377,12 @@ def _cmd_bound(ns: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(ns: argparse.Namespace) -> int:
-    m_values = sorted(set(_resolve_m_values(ns)))
     try:
         config = ExperimentConfig(
             n=ns.n,
-            m_values=tuple(m_values),
-            k_values=tuple(sorted(set(ns.K))),
-            cases=tuple(dict.fromkeys(ns.cases)),
+            m_values=tuple(_resolve_m_values(ns)),
+            k_values=tuple(sorted(ns.K)),
+            cases=tuple(ns.cases),
             trials=ns.trials,
             master_seed=ns.seed,
         )

@@ -53,7 +53,8 @@ _GAUSS_LINEAR_MAX = 24
 _GAUSS_PLATEAU_MAX = 29
 _GAUSS_SLOPE = 0.8
 
-# Bytes of normals drawn at once by validate_phi_empirical.
+# Bytes of one slice of validate_phi_empirical: its normals and two
+# vectors of its length, the squared l2 norms and the l1-based ratios.
 _DRAW_BYTES = 1 << 20
 
 
@@ -179,10 +180,13 @@ def validate_phi_empirical(
     for i, t in enumerate(sizes.tolist()):
         stream = base.generator(t)
         budget = phi(t)
-        step = max(1, _DRAW_BYTES // (8 * t))
+        step = max(1, _DRAW_BYTES // (8 * (t + 2)))
         for done in range(0, trials, step):
             draws = stream.standard_normal((min(step, trials - done), t))
-            l1 = np.abs(draws).sum(axis=1)
             sq = np.einsum("ij,ij->i", draws, draws)
-            successes[i] += np.count_nonzero(l1 * l1 / sq <= budget)
+            ratio = np.abs(draws, out=draws).sum(axis=1)
+            np.square(ratio, out=ratio)
+            ratio /= sq
+            successes[i] += np.count_nonzero(ratio <= budget)
+            del draws, sq, ratio  # before the next slice is drawn
     return PhiValidationReport(phi=phi, sizes=sizes, trials=trials, successes=successes)

@@ -99,6 +99,29 @@ class TestBoundCommand:
         assert code == EXIT_USAGE
         assert "alpha" in capsys.readouterr().err
 
+    def test_phi_without_decay_takes_no_alpha(self, capsys):
+        code = main(["bound", "--m", "500", "--K", "15", "--phi", "cs", "--alpha", "2"])
+        assert code == EXIT_USAGE
+        assert "takes no alpha" in capsys.readouterr().err
+
+    def test_m_sorted_and_deduplicated(self, tmp_path):
+        code = main(
+            ["bound", "--m", "500", "--m", "100", "--m", "300", "--m", "100", "--K", "15",
+             "--formats", "csv,svg", "--out-dir", str(tmp_path)]
+        )
+        assert code == EXIT_OK
+        lines = _read(tmp_path / "bounds.csv").strip().split("\n")[1:]
+        assert [(line.split(",")[0], line.split(",")[5]) for line in lines] == [
+            (m, kind) for m in ("100", "300", "500") for kind in ("new", "existing")
+        ]
+        polylines = ET.fromstring(_read(tmp_path / "bounds.svg")).findall(
+            f".//{_SVG_NS}polyline"
+        )
+        assert len(polylines) == 2
+        for polyline in polylines:
+            xs = [float(point.split(",")[0]) for point in polyline.get("points").split()]
+            assert len(xs) == 3 and xs == sorted(set(xs))
+
     def test_m_and_sweep_conflict(self):
         assert (
             main(["bound", "--m", "100", "--m-sweep", "100:50:200", "--K", "15"])
@@ -330,6 +353,24 @@ class TestPlotPhiCommand:
 
     def test_alpha_below_one_rejected(self, capsys):
         assert main(["plot-phi", "--alpha", "0.5"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "args, ini",
+        [(["--alpha", "2", "--alpha", "2", "--alpha", "1.5"], None),
+         ([], "[plot-phi]\nalpha = 2, 2, 1.5\n")],
+        ids=["flags", "config"],
+    )
+    def test_repeated_alpha_gives_one_curve(self, tmp_path, args, ini):
+        if ini is not None:
+            (tmp_path / "exp.ini").write_text(ini)
+            args = ["--config", str(tmp_path / "exp.ini")]
+        code = main(["plot-phi", *args, "--t-max", "3", "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_OK
+        rows = _read(tmp_path / "out" / "phi_curves.csv").strip().split("\n")[1:]
+        assert list(dict.fromkeys(row.split(",")[0] for row in rows)) == [
+            "alpha=2", "alpha=1.5"
+        ]
+        assert len(rows) == 2 * 3
 
 
 class TestReportCommand:

@@ -175,6 +175,19 @@ class TestDisparityRatio:
             vector_disparity_ratio([0.0, 0.0])
 
 
+def _traced_peak(t_max, trials):
+    """Bytes traced at the peak of one Gaussian validation call, after
+    a warm-up call."""
+    phi = PhiFunction.gaussian_empirical()
+    validate_phi_empirical(phi, 2, 10, StreamKey(1))
+    tracemalloc.start()
+    try:
+        validate_phi_empirical(phi, t_max, trials, StreamKey(1))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestValidatePhiEmpirical:
     def test_deterministic_and_t_max_stable(self):
         key = StreamKey(12)
@@ -224,7 +237,7 @@ class TestValidatePhiEmpirical:
         # and 3, so the counts can tell draws apart.
         phi = PhiFunction.strongly_decaying(1.5)
         trials = 2**17 + 9
-        assert all(trials % (phi_mod._DRAW_BYTES // (8 * t)) for t in (1, 2, 3))
+        assert all(trials % (phi_mod._DRAW_BYTES // (8 * (t + 2))) for t in (1, 2, 3))
         report = validate_phi_empirical(phi, 3, trials, StreamKey(4))
         want = phi_successes_one_shot(phi, 3, trials, StreamKey(4))
         assert report.successes.tolist() == want.tolist()
@@ -233,16 +246,16 @@ class TestValidatePhiEmpirical:
     def test_memory_bounded_in_trials(self):
         # one 40,000-by-30 draw alone is 9.2 MiB, and the call peaked
         # near 19.5 MiB drawing it whole; in slices of about 1 MiB it
-        # peaks near 2.9 MiB
-        phi = PhiFunction.gaussian_empirical()
-        validate_phi_empirical(phi, 2, 10, StreamKey(1))
-        tracemalloc.start()
-        try:
-            validate_phi_empirical(phi, 30, 40_000, StreamKey(1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # peaks near 1.0 MiB
+        peak = _traced_peak(30, 40_000)
         assert peak < 4 * 2**20, peak / 2**20
+
+    def test_small_sizes_hold_one_slice(self):
+        # at t = 1 a slice's norm vectors are as large as its draws; the
+        # call peaked at 5.0 MiB holding five such arrays and the last
+        # slice's, and holds about 1.0 MiB with the two norms in place
+        peak = _traced_peak(1, 400_000)
+        assert peak < 2 * 2**20, peak / 2**20
 
     def test_report_compares_by_identity(self):
         report = validate_phi_empirical(PhiFunction.cauchy_schwarz(), 3, 10, StreamKey(1))
